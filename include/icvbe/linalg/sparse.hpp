@@ -406,11 +406,11 @@ class SparseLuFactorizationT {
   }
 
   /// Numeric refactorisation of K value lanes along the one cached pivot
-  /// order -- the batched lot kernel. Each lane runs exactly the frozen
-  /// numeric pass refactor() would run on its values (bit-identical
-  /// factors, same column-relative pivot screen, same growth guard), but
-  /// the inner loops carry all K lanes together through each elimination
-  /// step (unit-stride across the lane, vectorisable).
+  /// order -- the batched lot kernel. refactor() runs the same kernel with
+  /// one lane, so each lane gets the factors refactor() would compute from
+  /// its values, to the bit (same column-relative pivot screen, same
+  /// growth guard); the inner loops carry all K lanes together through
+  /// each elimination step (unit-stride across the lane, vectorisable).
   ///
   /// \pre a cached analysis for batch.pattern() exists: refactor() a
   ///      reference matrix sharing the pattern first. The analysis is
@@ -439,16 +439,16 @@ class SparseLuFactorizationT {
 
   /// Lane count of the last refactor_batch() (0 before the first).
   [[nodiscard]] std::size_t batch_lanes() const noexcept {
-    return batch_lanes_;
+    return batch_.lanes;
   }
 
   /// Toggle the explicit-SIMD batched kernels at runtime (double scalar
   /// only; Complex always runs the scalar-lane loops). Defaults to on. The
-  /// off position replays the original runtime-K scalar-lane kernel
-  /// verbatim -- results are bit-identical either way, so this is purely a
-  /// measurement hook: bench_lot_statistics flips it for the same-build
-  /// SIMD-vs-scalar A/B gate, and the equivalence tests pin the bitwise
-  /// agreement.
+  /// off position runs refactor_batch / solve_batch through the runtime-K
+  /// scalar-lane policy -- results are bit-identical either way, so this
+  /// is purely a measurement hook: bench_lot_statistics flips it for the
+  /// same-build SIMD-vs-scalar A/B gate, and the equivalence tests pin the
+  /// bitwise agreement. refactor() and solve_in_place() ignore it.
   void set_batch_simd(bool on) noexcept { batch_simd_ = on; }
   [[nodiscard]] bool batch_simd() const noexcept { return batch_simd_; }
 
@@ -460,37 +460,65 @@ class SparseLuFactorizationT {
   [[nodiscard]] double condition_estimate() const;
 
  private:
-  /// Full factorisation with pivot search; caches order + pattern. Pivot
-  /// acceptability is column-relative: pivot_tol * colmax_ (filled by
-  /// refactor()).
+  /// The numeric state of one elimination pass over the cached analysis,
+  /// for `lanes` value lanes at once. Planes are lane-fastest: the values
+  /// of factor slot i sit at [i * lanes, (i + 1) * lanes), so the kernels
+  /// walk unit-stride across the lanes. Two instances run through the same
+  /// kernels: factors_ is the K = 1 lane refactor() / solve_in_place() use,
+  /// batch_ the K lanes of refactor_batch() / solve_batch(), so reference
+  /// refactor() calls and batch passes coexist.
+  struct ValuePlanes {
+    std::size_t lanes = 0;
+    std::vector<Scalar> l_val;    ///< L multipliers (unit diagonal implied)
+    std::vector<Scalar> u_val;    ///< strict upper U
+    std::vector<Scalar> udiag;    ///< U diagonal
+    std::vector<Scalar> sn_val;   ///< B x B dense supernode block, row-major
+    std::vector<Scalar> off_val;  ///< raw copies of the cross-block entries
+    /// Dense scatter row (step space). All zero between passes: every
+    /// slot a row scatters into is gathered back by the same row.
+    std::vector<Scalar> work;
+    std::vector<double> colmax;  ///< per-column max|A|, the pivot scale
+    std::vector<double> cap;     ///< per-lane growth cap, 1e8 * max|A|
+    std::vector<double> gmax;    ///< per-lane element-growth tracker
+    mutable std::vector<Scalar> perm;  ///< solve permutation buffer
+
+    /// Size every plane for `k` lanes of an analysis with the given factor
+    /// counts. Same-shape calls change nothing and never allocate.
+    void shape(std::size_t k, std::size_t n, std::size_t l_nnz,
+               std::size_t u_nnz, std::size_t sn_nnz, std::size_t off_nnz);
+  };
+
+  /// Full factorisation with pivot search; caches order + pattern and
+  /// shapes factors_ (refactor() then fills it through the kernel). Pivot
+  /// acceptability is column-relative: pivot_tol * factors_.colmax.
   void analyze(const SparseMatrixT<Scalar>& a, double pivot_tol);
-  /// Numeric-only pass along the cached order/pattern (sparse replay up to
-  /// sn_start_, dense supernode microkernel beyond). Returns false on
-  /// pivot breakdown (column-relative, via colmax_) or runaway element
-  /// growth -- the frozen pivots were chosen for different numerics, e.g.
-  /// a transient restamp whose companion conductances dwarf the values
-  /// the analysis saw (caller re-analyses). `amax` = max|A| of the
-  /// current matrix. `enforce_screens = false` skips both failure checks:
-  /// the post-analysis value pass uses it to rewrite the factors through
-  /// the very kernel every later refactor runs, making the stored values
-  /// (down to the sign of zero) independent of whether the analysis or a
-  /// frozen pass produced them.
-  [[nodiscard]] bool refactor_frozen(const SparseMatrixT<Scalar>& a,
-                                     double pivot_tol, double amax,
-                                     bool enforce_screens = true);
   [[nodiscard]] bool pattern_matches(const SparseMatrixT<Scalar>& a) const;
 
-  /// Batched kernel bodies, parameterised over the lane-op policy (the
-  /// scalar-lane baseline or the DPack policies -- see sparse.cpp). Every
-  /// policy performs the same elementwise FP sequence per lane, so the
-  /// instantiations produce bit-identical value planes; refactor_batch /
-  /// solve_batch dispatch on batch_simd_ and the lane count.
+  /// Input screen of one pass over `vals` (lane-fastest, the pattern's
+  /// nnz x p.lanes): clears lane_ok of every lane holding a non-finite
+  /// value, and fills p.colmax and the per-lane growth cap.
   template <typename Ops>
-  void refactor_batch_kernel(const SparseValueBatchT<Scalar>& batch,
-                             std::vector<unsigned char>& lane_ok,
-                             double pivot_tol);
+  void screen_input(const SparseMatrixT<Scalar>& pattern, const Scalar* vals,
+                    ValuePlanes& p, unsigned char* lane_ok) const;
+  /// The one numeric elimination: the sparse replay along the cached
+  /// order/pattern up to sn_start_, the dense supernode rows beyond, all
+  /// p.lanes lanes per step. A lane fails (lane_ok cleared) on pivot
+  /// breakdown (column-relative) or runaway element growth -- the frozen
+  /// pivots were chosen for different numerics, e.g. a transient restamp
+  /// whose companion conductances dwarf the values the analysis saw.
+  /// `early_abort` (one lane only) stops at the first failure and returns
+  /// false, with p.work still clean for the re-analysis; otherwise every
+  /// step runs and the result is true. The Ops policy fixes the per-lane
+  /// FP sequence, which is the same for every policy and lane count.
   template <typename Ops>
-  void solve_batch_kernel(std::vector<Scalar>& rhs) const;
+  bool refactor_batch_kernel(const SparseMatrixT<Scalar>& pattern,
+                             const Scalar* vals, ValuePlanes& p,
+                             unsigned char* lane_ok, double pivot_tol,
+                             bool early_abort);
+  /// Block back-substitution of the p.lanes right-hand sides in rhs
+  /// (lane-fastest), overwritten by the solutions.
+  template <typename Ops>
+  void solve_batch_kernel(const ValuePlanes& p, Scalar* rhs) const;
 
   std::size_t n_ = 0;
   bool analyzed_ = false;
@@ -498,10 +526,6 @@ class SparseLuFactorizationT {
   SparseOptions options_{};
   std::size_t btf_blocks_ = 0;  ///< diagonal blocks of the analysed pattern
   double a_norm1_ = 0.0;  ///< 1-norm of the last refactored A
-  /// Per-column max|A| of the matrix being refactored (the pivot test's
-  /// column-relative scale); refilled by every refactor(), allocation-free
-  /// once sized.
-  std::vector<double> colmax_;
 
   // Identity of the analysed pattern (SparseMatrixT::pattern_stamp is
   // process-unique per freeze, so equality means the same frozen CSR).
@@ -516,23 +540,17 @@ class SparseLuFactorizationT {
   // Scatter map: A's CSR entry i lands in working slot astep_[i].
   std::vector<int> astep_;
 
-  // Frozen factor, indexed in pivot-step space. L has unit diagonal; U's
-  // diagonal lives in udiag_.
+  // Frozen factor pattern, indexed in pivot-step space (the values live in
+  // the ValuePlanes). L has unit diagonal; U's diagonal is the udiag plane.
   std::vector<int> l_ptr_;
   std::vector<int> l_step_;
-  std::vector<Scalar> l_val_;
   std::vector<int> u_ptr_;
   std::vector<int> u_step_;
-  std::vector<Scalar> u_val_;
-  std::vector<Scalar> udiag_;
-
-  std::vector<Scalar> work_;          ///< dense scatter row (step space)
-  mutable std::vector<Scalar> perm_;  ///< solve permutation buffer
 
   // Block-triangular structure. Blocks occupy contiguous step ranges
   // [bstep_ptr_[b], bstep_ptr_[b+1]); the factor above is block-diagonal,
   // and A entries crossing into a *later* block's columns stay unfactored:
-  // they are copied raw each refactor (off_val_[t] = A value at CSR slot
+  // they are copied raw each refactor (off_val[t] = A value at CSR slot
   // off_a_idx_[t], astep_ is -1 there so the scatter skips them) and
   // applied during block back-substitution in solve (x of later blocks is
   // final by then). That is what makes BTF a fill *win*: cross-block
@@ -542,38 +560,23 @@ class SparseLuFactorizationT {
   std::vector<int> off_ptr_;    ///< per step: range into the off arrays
   std::vector<int> off_a_idx_;  ///< CSR value slot of each off entry
   std::vector<int> off_step_;   ///< pivot step of the entry's column
-  std::vector<Scalar> off_val_;
 
   // Trailing dense supernode: steps [sn_start_, n_) of the factor are
   // dense enough that the numeric pass runs them through a row-major
   // B x B dense microkernel (B = n_ - sn_start_) instead of the sparse
   // replay, then mirrors the pattern positions back into the flat factor
-  // arrays so every solve/estimate path is oblivious to it. sn_start_ ==
+  // planes so every solve/estimate path is oblivious to it. sn_start_ ==
   // n_ means no block qualified. The mirror maps are built once per
   // analysis.
   std::size_t sn_start_ = 0;
-  std::vector<Scalar> sn_val_;  ///< B x B dense block, row-major
-  std::vector<int> sn_l_idx_;   ///< l_val_ slots inside the block...
-  std::vector<int> sn_l_pos_;   ///< ...and their dense positions
-  std::vector<int> sn_u_idx_;   ///< u_val_ slots inside the block...
-  std::vector<int> sn_u_pos_;   ///< ...and their dense positions
+  std::vector<int> sn_l_idx_;  ///< l_val slots inside the block...
+  std::vector<int> sn_l_pos_;  ///< ...and their dense positions
+  std::vector<int> sn_u_idx_;  ///< u_val slots inside the block...
+  std::vector<int> sn_u_pos_;  ///< ...and their dense positions
 
-  // Batched (K-lane) numeric state, lane-fastest planes mirroring the
-  // scalar factor arrays. Sized by refactor_batch on shape change only;
-  // independent of the scalar factors so reference refactor() and batch
-  // passes coexist.
-  std::size_t batch_lanes_ = 0;
+  ValuePlanes factors_;  ///< the K = 1 lane: refactor() / solve_in_place()
+  ValuePlanes batch_;    ///< refactor_batch() / solve_batch(); 0 lanes before
   bool batch_simd_ = true;  ///< runtime kernel toggle (see set_batch_simd)
-  std::vector<Scalar> l_val_b_;
-  std::vector<Scalar> u_val_b_;
-  std::vector<Scalar> udiag_b_;
-  std::vector<Scalar> sn_val_b_;          ///< B x B x K dense block planes
-  std::vector<Scalar> work_b_;            ///< step space * K
-  std::vector<Scalar> off_val_b_;         ///< off entries * K, raw copies
-  std::vector<double> colmax_b_;          ///< cols * K
-  std::vector<double> amax_b_;            ///< per-lane max|A|
-  std::vector<double> gmax_b_;            ///< per-lane growth tracker
-  mutable std::vector<Scalar> perm_b_;    ///< batched solve buffer
 };
 
 using SparseLuFactorization = SparseLuFactorizationT<double>;

@@ -780,78 +780,14 @@ bool SparseLuFactorizationT<Scalar>::pattern_matches(
 }
 
 template <typename Scalar>
-void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
-                                              double pivot_tol) {
-  ICVBE_REQUIRE(a.frozen(),
-                "sparse LU: freeze_pattern() before factoring");
-  ICVBE_REQUIRE(a.rows() == a.cols(), "sparse LU: matrix must be square");
-  ICVBE_REQUIRE(a.rows() > 0, "sparse LU: empty matrix");
-
-  // Deterministic input screening: a NaN would otherwise win or lose every
-  // pivot comparison silently and only surface at the first solve. The
-  // same pass fills the per-column maxima the column-relative pivot test
-  // uses (AC systems legitimately span many decades across columns, so a
-  // global max|A| threshold would misdiagnose them as singular).
-  double amax = 0.0;
-  bool finite = true;
-  colmax_.assign(a.cols(), 0.0);
-  {
-    const std::vector<int>& cols = a.col_index();
-    const std::vector<Scalar>& vals = a.values();
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      if (!scalar_is_finite(vals[i])) finite = false;
-      const double v = scalar_abs(vals[i]);
-      amax = std::max(amax, v);
-      double& cm = colmax_[static_cast<std::size_t>(cols[i])];
-      cm = std::max(cm, v);
-    }
-  }
-  if (!finite) {
-    throw NumericalError("sparse LU: matrix has non-finite entries");
-  }
-  if (amax == 0.0) {
-    // Maximally singular, not API misuse: stay inside the Newton fallback
-    // machinery like any other singular Jacobian (dense engine agrees).
-    throw NumericalError("sparse LU: zero matrix");
-  }
-
-  if (!(pattern_matches(a) && refactor_frozen(a, pivot_tol, amax))) {
-    // First factorisation, new pattern, or a frozen pivot collapsed: run
-    // the full analysis with fresh pivoting.
-    analyze(a, pivot_tol);
-    if (sn_start_ < n_) {
-      // Rewrite the factors through the frozen kernel so the stored
-      // values never depend on which pass produced them: the dense
-      // supernode's structural-zero arithmetic can flip the sign of an
-      // exact zero relative to the analysis's sparse pass, and the batch
-      // bit-identity contract compares lanes against frozen-kernel
-      // output. Magnitudes are identical by construction, so the screens
-      // the analysis just passed are not re-judged.
-      (void)refactor_frozen(a, pivot_tol, amax, /*enforce_screens=*/false);
-    }
-  }
-
-  // 1-norm of A for condition_estimate(). perm_ (sized by the analysis
-  // above) is free between solves -- solve_in_place overwrites it fully --
-  // so borrowing it keeps refactor() allocation-free. Magnitude sums are
-  // non-negative reals, so they live in the scalar's real part.
-  std::fill(perm_.begin(), perm_.end(), Scalar{});
-  const std::vector<int>& cols = a.col_index();
-  const std::vector<Scalar>& vals = a.values();
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    perm_[static_cast<std::size_t>(cols[i])] += Scalar(scalar_abs(vals[i]));
-  }
-  a_norm1_ = 0.0;
-  for (const Scalar& s : perm_) a_norm1_ = std::max(a_norm1_, scalar_abs(s));
-}
-
-template <typename Scalar>
 void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
                                              double pivot_tol) {
   const std::size_t n = a.rows();
   const std::vector<int>& row_ptr = a.row_ptr();
   const std::vector<int>& col_index = a.col_index();
   const std::vector<Scalar>& values = a.values();
+
+  const std::vector<double>& colmax = factors_.colmax;
 
   analyzed_ = false;
   n_ = n;
@@ -938,14 +874,14 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
 
   cstep_.assign(n, -1);
   cperm_.assign(n, -1);
-  udiag_.assign(n, Scalar{});
+  std::vector<Scalar> udiag(n, Scalar{});  // this elimination's pivots
 
   // Static column degrees of A: the sparsity half of the Markowitz cost.
   std::vector<int> coldeg(n, 0);
   for (int c : col_index) ++coldeg[static_cast<std::size_t>(c)];
 
   // Growing factor rows; frozen into flat arrays afterwards.
-  std::vector<std::vector<std::pair<int, Scalar>>> lrows(n);  // (step, mult)
+  std::vector<std::vector<int>> lrows(n);  // steps
   std::vector<std::vector<std::pair<int, Scalar>>> urows(n);  // (col, val)
 
   std::vector<Scalar> w(n, Scalar{});  // dense scatter row, by column id
@@ -990,9 +926,9 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
       const int j = heap.top();
       heap.pop();
       const std::size_t cj = static_cast<std::size_t>(cperm_[j]);
-      const Scalar lv = w[cj] / udiag_[static_cast<std::size_t>(j)];
+      const Scalar lv = w[cj] / udiag[static_cast<std::size_t>(j)];
       w[cj] = lv;  // L multiplier, kept in place for the gather below
-      lrows[k].emplace_back(j, lv);
+      lrows[k].push_back(j);
       for (const auto& [uc, uv] : urows[static_cast<std::size_t>(j)]) {
         const std::size_t u = static_cast<std::size_t>(uc);
         if (!inpat[u]) {
@@ -1020,7 +956,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     for (int c : pattern) {
       const std::size_t ci = static_cast<std::size_t>(c);
       if (cstep_[ci] >= 0) continue;
-      if (!(scalar_abs(w[ci]) > pivot_tol * colmax_[ci])) continue;
+      if (!(scalar_abs(w[ci]) > pivot_tol * colmax[ci])) continue;
       umax = std::max(umax, scalar_abs(w[ci]));
     }
     if (!(umax > 0.0)) {
@@ -1033,7 +969,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     for (int c : pattern) {
       const std::size_t ci = static_cast<std::size_t>(c);
       if (cstep_[ci] >= 0) continue;
-      if (!(scalar_abs(w[ci]) > pivot_tol * colmax_[ci])) continue;
+      if (!(scalar_abs(w[ci]) > pivot_tol * colmax[ci])) continue;
       if (scalar_abs(w[ci]) < kPivotRelThreshold * umax) continue;
       if (best_col < 0 ||
           coldeg[ci] < coldeg[static_cast<std::size_t>(best_col)] ||
@@ -1044,7 +980,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     }
     cstep_[static_cast<std::size_t>(best_col)] = static_cast<int>(k);
     cperm_[k] = best_col;
-    udiag_[k] = w[static_cast<std::size_t>(best_col)];
+    udiag[k] = w[static_cast<std::size_t>(best_col)];
 
     // Record this row's U part -- every pattern position, including exact
     // numeric zeros: the fill pattern must not depend on the operating
@@ -1077,28 +1013,19 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     u_ptr_[k + 1] = static_cast<int>(u_nnz);
   }
   l_step_.resize(l_nnz);
-  l_val_.resize(l_nnz);
   u_step_.resize(u_nnz);
-  u_val_.resize(u_nnz);
-  std::vector<std::pair<int, Scalar>> urow_steps;
   for (std::size_t k = 0; k < n; ++k) {
     // L rows were emitted in ascending step order already.
-    for (std::size_t i = 0; i < lrows[k].size(); ++i) {
-      l_step_[static_cast<std::size_t>(l_ptr_[k]) + i] = lrows[k][i].first;
-      l_val_[static_cast<std::size_t>(l_ptr_[k]) + i] = lrows[k][i].second;
-    }
+    std::copy(lrows[k].begin(), lrows[k].end(),
+              l_step_.begin() + l_ptr_[k]);
     // U rows were recorded by column id; remap to the (now complete) pivot
     // steps and sort ascending.
-    urow_steps.clear();
-    for (const auto& [c, v] : urows[k]) {
-      urow_steps.emplace_back(cstep_[static_cast<std::size_t>(c)], v);
+    const auto urow = u_step_.begin() + u_ptr_[k];
+    for (std::size_t i = 0; i < urows[k].size(); ++i) {
+      urow[static_cast<std::ptrdiff_t>(i)] =
+          cstep_[static_cast<std::size_t>(urows[k][i].first)];
     }
-    std::sort(urow_steps.begin(), urow_steps.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (std::size_t i = 0; i < urow_steps.size(); ++i) {
-      u_step_[static_cast<std::size_t>(u_ptr_[k]) + i] = urow_steps[i].first;
-      u_val_[static_cast<std::size_t>(u_ptr_[k]) + i] = urow_steps[i].second;
-    }
+    std::sort(urow, u_step_.begin() + u_ptr_[k + 1]);
   }
 
   // Scatter map: A entry i lands in step-space slot astep_[i]. Cross-block
@@ -1111,7 +1038,6 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   off_ptr_.assign(n + 1, 0);
   off_a_idx_.clear();
   off_step_.clear();
-  off_val_.clear();
   if (use_blocks) {
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t r = static_cast<std::size_t>(rperm_[k]);
@@ -1122,7 +1048,6 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
         astep_[static_cast<std::size_t>(i)] = -1;
         off_a_idx_.push_back(i);
         off_step_.push_back(cstep_[c]);
-        off_val_.push_back(values[static_cast<std::size_t>(i)]);
       }
       off_ptr_[k + 1] = static_cast<int>(off_a_idx_.size());
     }
@@ -1138,8 +1063,6 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   // accumulated by suffix scan: row s contributes its diagonal, its whole
   // U row (steps > s), and every L entry *at* step s (their rows are > s).
   sn_start_ = n;
-  sn_val_.clear();
-  sn_val_b_.clear();
   sn_l_idx_.clear();
   sn_l_pos_.clear();
   sn_u_idx_.clear();
@@ -1166,7 +1089,6 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     if (best < n) {
       sn_start_ = best;
       const std::size_t bdim = n - best;
-      sn_val_.assign(bdim * bdim, Scalar{});
       for (std::size_t k = best; k < n; ++k) {
         const std::size_t kb = k - best;
         for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
@@ -1187,200 +1109,48 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     }
   }
 
-  work_.assign(n, Scalar{});
-  perm_.assign(n, Scalar{});
+  const std::size_t bdim = n - sn_start_;
+  factors_.work.assign(n, Scalar{});
+  factors_.shape(1, n, l_nnz, u_nnz, bdim * bdim, off_a_idx_.size());
   pattern_stamp_ = a.pattern_stamp();
   analyzed_ = true;
   ++analysis_count_;
 }
 
-template <typename Scalar>
-bool SparseLuFactorizationT<Scalar>::refactor_frozen(
-    const SparseMatrixT<Scalar>& a, double pivot_tol, double amax,
-    bool enforce_screens) {
-  const std::size_t n = n_;
-  const std::size_t sn = sn_start_;
-  const std::size_t bdim = n - sn;
-  const std::vector<int>& row_ptr = a.row_ptr();
-  const std::vector<Scalar>& values = a.values();
-
-  // Element-growth guard: with the pivot order frozen there is no
-  // numerical pivoting left, so a restamp whose value distribution differs
-  // wildly from the analysed one (a transient step's huge companion
-  // conductances, or an AC restamp decades away in frequency, say) can
-  // blow the factors up and yield a finite but garbage solution. Growth
-  // beyond this factor over max|A| aborts the frozen pass; the caller
-  // re-analyses with fresh pivoting (partial pivoting keeps growth within
-  // ~2^n theory, single digits in practice).
-  constexpr double kGrowthLimit = 1e8;
-  const double growth_cap = kGrowthLimit * amax;
-  double gmax = 0.0;
-
-  // Cross-block entries never join the elimination: refresh their raw
-  // copies for the solve's block back-substitution and skip them below
-  // (their astep_ is -1).
-  for (std::size_t t = 0; t < off_a_idx_.size(); ++t) {
-    off_val_[t] = values[static_cast<std::size_t>(off_a_idx_[t])];
-  }
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t r = static_cast<std::size_t>(rperm_[k]);
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      const int s = astep_[static_cast<std::size_t>(i)];
-      if (s >= 0) work_[static_cast<std::size_t>(s)] += values[static_cast<std::size_t>(i)];
-    }
-    if (k < sn) {
-      // Sparse replay along the cached pattern.
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        const Scalar lv = work_[j] / udiag_[j];
-        l_val_[static_cast<std::size_t>(li)] = lv;
-        work_[j] = Scalar{};
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          work_[static_cast<std::size_t>(
-              u_step_[static_cast<std::size_t>(ui)])] -=
-              lv * u_val_[static_cast<std::size_t>(ui)];
-        }
-      }
-      const Scalar d = work_[k];
-      work_[k] = Scalar{};
-      gmax = std::max(gmax, scalar_abs(d));
-      for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
-        const std::size_t us =
-            static_cast<std::size_t>(u_step_[static_cast<std::size_t>(ui)]);
-        const Scalar uv = work_[us];
-        u_val_[static_cast<std::size_t>(ui)] = uv;
-        gmax = std::max(gmax, scalar_abs(uv));
-        work_[us] = Scalar{};
-      }
-      const double tol =
-          pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
-      if (enforce_screens && (!(scalar_abs(d) > tol) || gmax > growth_cap)) {
-        // Frozen pivot collapsed (judged against its own column's current
-        // scale) or the factors are blowing up (the matrix may still be
-        // fine under a different order); work_ is already clean for the
-        // re-analysis -- both checks run after this row's gather.
-        return false;
-      }
-      udiag_[k] = d;
-    } else {
-      // Dense supernode row: replay the out-of-block L prefix sparsely
-      // (ascending steps, so the prefix ends at the first in-block entry),
-      // then eliminate inside the B x B block with contiguous loops. The
-      // per-position arithmetic matches the sparse replay exactly except
-      // on structural zeros, where only the sign of an exact zero can
-      // differ -- which is why every stored factor value comes from this
-      // kernel (see the post-analysis pass in refactor()).
-      const std::size_t kb = k - sn;
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        if (j >= sn) break;
-        const Scalar lv = work_[j] / udiag_[j];
-        l_val_[static_cast<std::size_t>(li)] = lv;
-        work_[j] = Scalar{};
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          work_[static_cast<std::size_t>(
-              u_step_[static_cast<std::size_t>(ui)])] -=
-              lv * u_val_[static_cast<std::size_t>(ui)];
-        }
-      }
-      Scalar* drow = sn_val_.data() + kb * bdim;
-      for (std::size_t t = 0; t < bdim; ++t) {
-        drow[t] = work_[sn + t];
-        work_[sn + t] = Scalar{};
-      }
-      if constexpr (std::is_same_v<Scalar, double>) {
-        // Phase-split replay: multipliers and the leading (t < kb) updates
-        // stay j-outer, then the trailing columns run t-outer with the
-        // element kept in pack registers across the whole jb sweep -- each
-        // element's subtractions remain in ascending-jb order, so the tiled
-        // kernel is bit-identical to the plain j-outer loop while touching
-        // each trailing element once instead of once per jb.
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          const double lv = drow[jb] / sn_val_[jb * bdim + jb];
-          drow[jb] = lv;
-          const double* urow = sn_val_.data() + jb * bdim;
-          for (std::size_t t = jb + 1; t < kb; ++t) drow[t] -= lv * urow[t];
-        }
-        using P = common::DPack;
-        constexpr std::size_t W = common::kPackWidth;
-        std::size_t t = kb;
-        for (; t + 2 * W <= bdim; t += 2 * W) {
-          P a0 = P::load(drow + t);
-          P a1 = P::load(drow + t + W);
-          for (std::size_t jb = 0; jb < kb; ++jb) {
-            const P lv = P::broadcast(drow[jb]);
-            const double* urow = sn_val_.data() + jb * bdim;
-            a0 = a0 - lv * P::load(urow + t);
-            a1 = a1 - lv * P::load(urow + t + W);
-          }
-          a0.store(drow + t);
-          a1.store(drow + t + W);
-        }
-        for (; t < bdim; ++t) {
-          double acc = drow[t];
-          for (std::size_t jb = 0; jb < kb; ++jb) {
-            acc -= drow[jb] * sn_val_[jb * bdim + t];
-          }
-          drow[t] = acc;
-        }
-      } else {
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          const Scalar lv = drow[jb] / sn_val_[jb * bdim + jb];
-          drow[jb] = lv;
-          const Scalar* urow = sn_val_.data() + jb * bdim;
-          for (std::size_t t = jb + 1; t < bdim; ++t) {
-            drow[t] -= lv * urow[t];
-          }
-        }
-      }
-      const Scalar d = drow[kb];
-      gmax = std::max(gmax, scalar_abs(d));
-      for (std::size_t t = kb + 1; t < bdim; ++t) {
-        gmax = std::max(gmax, scalar_abs(drow[t]));
-      }
-      const double tol =
-          pivot_tol * colmax_[static_cast<std::size_t>(cperm_[k])];
-      if (enforce_screens && (!(scalar_abs(d) > tol) || gmax > growth_cap)) {
-        return false;  // work_ is clean: the block's dirt lives in sn_val_
-      }
-      udiag_[k] = d;
-    }
-  }
-  // Mirror the dense block's pattern positions back into the flat factor
-  // arrays: the solve / condition / diagnostic paths stay oblivious to
-  // the supernode.
-  for (std::size_t t = 0; t < sn_l_idx_.size(); ++t) {
-    l_val_[static_cast<std::size_t>(sn_l_idx_[t])] =
-        sn_val_[static_cast<std::size_t>(sn_l_pos_[t])];
-  }
-  for (std::size_t t = 0; t < sn_u_idx_.size(); ++t) {
-    u_val_[static_cast<std::size_t>(sn_u_idx_[t])] =
-        sn_val_[static_cast<std::size_t>(sn_u_pos_[t])];
-  }
-  return true;
-}
-
 namespace {
 
-/// Lane-op policy: the original runtime-K scalar-lane loops of the batched
-/// kernel, preserved verbatim. This is the measurable baseline the
-/// explicit-SIMD policy is gated against (set_batch_simd(false) routes the
-/// batched kernels through it), and the only policy the Complex
-/// instantiation uses. Each op is one of the batched kernel's inner loops.
-template <typename Scalar>
+/// Element-growth guard of the frozen pass: with the pivot order frozen
+/// there is no numerical pivoting left, so a restamp whose value
+/// distribution differs wildly from the analysed one (a transient step's
+/// huge companion conductances, or an AC restamp decades away in
+/// frequency, say) can blow the factors up and yield a finite but garbage
+/// solution. Growth beyond this factor over max|A| fails the pass; the
+/// scalar caller re-analyses with fresh pivoting (partial pivoting keeps
+/// growth within ~2^n theory, single digits in practice).
+constexpr double kGrowthLimit = 1e8;
+
+/// Lane-op policy: plain per-lane loops, one op per inner loop of the
+/// elimination kernels. KC > 0 pins the lane count at compile time; KC ==
+/// 0 reads it at run time. The runtime-K instance is the measurable
+/// baseline the explicit-SIMD policy is gated against
+/// (set_batch_simd(false) routes the batched kernels through it) and the
+/// complex batch policy; KC == 1 is the complex refactor() / solve lane.
+template <typename Scalar, std::size_t KC = 0>
 struct ScalarLaneOps {
+  static constexpr std::size_t kLanes = KC;
   /// Straight row-major supernode replay (no register tiling).
   static constexpr bool kTiled = false;
 
+  static constexpr std::size_t lanes(std::size_t K) noexcept {
+    return KC != 0 ? KC : K;
+  }
+
   static void copy(Scalar* dst, const Scalar* src, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) dst[l] = src[l];
+    for (std::size_t l = 0; l < lanes(K); ++l) dst[l] = src[l];
   }
   /// dst[l] += src[l] -- the scatter accumulation.
   static void add(Scalar* dst, const Scalar* src, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) dst[l] += src[l];
+    for (std::size_t l = 0; l < lanes(K); ++l) dst[l] += src[l];
   }
   /// dst[t] = src[t]; src[t] = 0 over a flat range (the supernode row
   /// harvest, length bdim * K).
@@ -1393,7 +1163,7 @@ struct ScalarLaneOps {
   /// lv[l] = wj[l] / dj[l]; wj[l] = 0 -- multiplier harvest.
   static void div_take(Scalar* lv, Scalar* wj, const Scalar* dj,
                        std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t l = 0; l < lanes(K); ++l) {
       lv[l] = wj[l] / dj[l];
       wj[l] = Scalar{};
     }
@@ -1401,17 +1171,17 @@ struct ScalarLaneOps {
   /// w[l] -= lv[l] * uv[l] -- the elimination update.
   static void submul(Scalar* w, const Scalar* lv, const Scalar* uv,
                      std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) w[l] -= lv[l] * uv[l];
+    for (std::size_t l = 0; l < lanes(K); ++l) w[l] -= lv[l] * uv[l];
   }
   static void div_inplace(Scalar* p, const Scalar* d,
                           std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) p[l] /= d[l];
+    for (std::size_t l = 0; l < lanes(K); ++l) p[l] /= d[l];
   }
   /// dst[l] = src[l]; src[l] = 0; g[l] = max(g[l], |dst[l]|) -- diagonal
   /// and U-row harvest with the growth tracker.
   static void take_absmax(Scalar* dst, Scalar* src, double* g,
                           std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t l = 0; l < lanes(K); ++l) {
       dst[l] = src[l];
       src[l] = Scalar{};
       g[l] = std::max(g[l], scalar_abs(dst[l]));
@@ -1419,20 +1189,20 @@ struct ScalarLaneOps {
   }
   static void copy_absmax(Scalar* dst, const Scalar* src, double* g,
                           std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t l = 0; l < lanes(K); ++l) {
       dst[l] = src[l];
       g[l] = std::max(g[l], scalar_abs(dst[l]));
     }
   }
   static void absmax(double* g, const Scalar* x, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t l = 0; l < lanes(K); ++l) {
       g[l] = std::max(g[l], scalar_abs(x[l]));
     }
   }
   /// Input screen: finiteness into ok, magnitude maxima into amax / cm.
   static void screen_input(unsigned char* ok, const Scalar* v, double* amax,
                            double* cm, std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t l = 0; l < lanes(K); ++l) {
       ok[l] = static_cast<unsigned char>(
           ok[l] & static_cast<unsigned char>(scalar_is_finite(v[l])));
       const double m = scalar_abs(v[l]);
@@ -1446,7 +1216,7 @@ struct ScalarLaneOps {
                            const double* cm, const double* g,
                            const double* cap, double pivot_tol,
                            std::size_t K) noexcept {
-    for (std::size_t l = 0; l < K; ++l) {
+    for (std::size_t l = 0; l < lanes(K); ++l) {
       ok[l] = static_cast<unsigned char>(
           ok[l] &
           static_cast<unsigned char>(scalar_abs(dk[l]) > pivot_tol * cm[l]) &
@@ -1467,9 +1237,12 @@ struct ScalarLaneOps {
 /// control -- counter, compare, and the alias versioning the
 /// auto-vectorizer has to emit -- costs as much as the arithmetic, and
 /// unrolling is where most of the batched SIMD win comes from. KC == 0
-/// serves any other lane count.
+/// serves any other lane count. KC == 1 is the refactor() / solve lane:
+/// every lane op is its scalar tail, and the supernode tiles along the row
+/// instead of across lanes.
 template <std::size_t KC>
 struct PackLaneOps {
+  static constexpr std::size_t kLanes = KC;
   /// Supernode rows run the register-tiled phase-split replay.
   static constexpr bool kTiled = true;
   using P = common::DPack;
@@ -1627,7 +1400,30 @@ struct PackLaneOps {
   static void supernode_trailing(double* drow, const double* snb,
                                  std::size_t kb, std::size_t bdim,
                                  std::size_t K) noexcept {
-    if constexpr (KC != 0) {
+    if constexpr (KC == 1) {
+      // One lane: the packs run along the row instead, a 2W-wide t-tile
+      // per jb sweep, then a scalar tail.
+      std::size_t t = kb;
+      for (; t + 2 * W <= bdim; t += 2 * W) {
+        P a0 = P::load(drow + t);
+        P a1 = P::load(drow + t + W);
+        for (std::size_t jb = 0; jb < kb; ++jb) {
+          const P lv = P::broadcast(drow[jb]);
+          const double* urow = snb + jb * bdim;
+          a0 = a0 - lv * P::load(urow + t);
+          a1 = a1 - lv * P::load(urow + t + W);
+        }
+        a0.store(drow + t);
+        a1.store(drow + t + W);
+      }
+      for (; t < bdim; ++t) {
+        double acc = drow[t];
+        for (std::size_t jb = 0; jb < kb; ++jb) {
+          acc -= drow[jb] * snb[jb * bdim + t];
+        }
+        drow[t] = acc;
+      }
+    } else if constexpr (KC != 0) {
       static_assert(KC % W == 0);
       constexpr std::size_t Q = KC / W;
       // 2-wide t-tile: each multiplier pack serves two output elements, so
@@ -1683,7 +1479,292 @@ struct PackLaneOps {
   }
 };
 
+/// The policy of the K = 1 lane refactor() and solve_in_place() run: the
+/// pack policy for double (its row-tiled supernode), the plain loops for
+/// Complex.
+template <typename Scalar>
+struct UnitLane {
+  using type = ScalarLaneOps<Scalar, 1>;
+};
+template <>
+struct UnitLane<double> {
+  using type = PackLaneOps<1>;
+};
+
+/// Calls f with the policy a K-lane batch pass runs. Real-valued batches
+/// take the pack policy (explicit SIMD across the lane planes) with the
+/// common lane counts pinned at compile time so the per-slot K-loops
+/// unroll flat -- at bandgap-cell row sizes the loop control would
+/// otherwise cost as much as the arithmetic. Complex batches and the
+/// runtime A/B baseline (simd off) take the runtime-K scalar-lane policy.
+/// Every policy runs the identical per-lane FP sequence, so the choice
+/// never changes a bit of the factors.
+template <typename Scalar, typename F>
+void with_batch_ops(std::size_t K, bool simd, F&& f) {
+  if constexpr (std::is_same_v<Scalar, double>) {
+    if (simd) {
+      switch (K) {
+        case 4:
+          return f(PackLaneOps<4>{});
+        case 8:
+          return f(PackLaneOps<8>{});
+        case 16:
+          return f(PackLaneOps<16>{});
+        default:
+          return f(PackLaneOps<0>{});
+      }
+    }
+  }
+  f(ScalarLaneOps<Scalar>{});
+}
+
+// Row loops of the kernels, K lanes per slot.
+
+/// w[t] -= lv * u[t] for t in [lo, hi): a dense supernode row update.
+template <typename Ops, typename Scalar>
+void sub_axpy(Scalar* w, const Scalar* lv, const Scalar* u, std::size_t lo,
+              std::size_t hi, std::size_t K) noexcept {
+  for (std::size_t t = lo; t < hi; ++t) {
+    Ops::submul(w + t * K, lv, u + t * K, K);
+  }
+}
+
+/// w[idx[i]] -= lv * val[i] for i in [lo, hi): a sparse U-row update.
+template <typename Ops, typename Scalar>
+void sub_scatter(Scalar* w, const Scalar* lv, const Scalar* val,
+                 const int* idx, int lo, int hi, std::size_t K) noexcept {
+  for (int i = lo; i < hi; ++i) {
+    Ops::submul(w + static_cast<std::size_t>(idx[i]) * K, lv,
+                val + static_cast<std::size_t>(i) * K, K);
+  }
+}
+
+/// x -= val[i] * z[idx[i]] for i ascending in [lo, hi): one solve row.
+template <typename Ops, typename Scalar>
+void sub_gather(Scalar* x, const Scalar* val, const int* idx, int lo, int hi,
+                const Scalar* z, std::size_t K) noexcept {
+  for (int i = lo; i < hi; ++i) {
+    Ops::submul(x, val + static_cast<std::size_t>(i) * K,
+                z + static_cast<std::size_t>(idx[i]) * K, K);
+  }
+}
+
+/// The input screen over every stored slot: ok cleared for a non-finite
+/// value, amax and the per-column maxima of |v| raised.
+template <typename Ops, typename Scalar>
+void screen_values(unsigned char* ok, const Scalar* v,
+                   const std::vector<int>& cols, double* amax, double* colmax,
+                   std::size_t K) noexcept {
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    Ops::screen_input(ok, v + i * K, amax,
+                      colmax + static_cast<std::size_t>(cols[i]) * K, K);
+  }
+}
+
+/// val[i] = w[idx[i]]; w[idx[i]] = 0; g = max(g, |val[i]|) for i in
+/// [lo, hi): the U-row harvest with the growth tracker.
+template <typename Ops, typename Scalar>
+void take_row(Scalar* val, Scalar* w, const int* idx, int lo, int hi,
+              double* g, std::size_t K) noexcept {
+  for (int i = lo; i < hi; ++i) {
+    Ops::take_absmax(val + static_cast<std::size_t>(i) * K,
+                     w + static_cast<std::size_t>(idx[i]) * K, g, K);
+  }
+}
+
 }  // namespace
+
+template <typename Scalar>
+void SparseLuFactorizationT<Scalar>::ValuePlanes::shape(
+    std::size_t k, std::size_t n, std::size_t l_nnz, std::size_t u_nnz,
+    std::size_t sn_nnz, std::size_t off_nnz) {
+  lanes = k;
+  l_val.resize(l_nnz * k);
+  u_val.resize(u_nnz * k);
+  udiag.resize(n * k);
+  sn_val.resize(sn_nnz * k);
+  off_val.resize(off_nnz * k);
+  work.resize(n * k);  // grows with zeros; the live part is already zero
+  colmax.resize(n * k);
+  cap.resize(k);
+  gmax.resize(k);
+  perm.resize(n * k);
+}
+
+template <typename Scalar>
+void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
+                                              double pivot_tol) {
+  ICVBE_REQUIRE(a.frozen(),
+                "sparse LU: freeze_pattern() before factoring");
+  ICVBE_REQUIRE(a.rows() == a.cols(), "sparse LU: matrix must be square");
+  ICVBE_REQUIRE(a.rows() > 0, "sparse LU: empty matrix");
+  using Unit = typename UnitLane<Scalar>::type;
+  const Scalar* vals = a.values().data();
+
+  // Deterministic input screening: a NaN would otherwise win or lose every
+  // pivot comparison silently and only surface at the first solve. The
+  // same pass fills the per-column maxima the column-relative pivot test
+  // uses (AC systems legitimately span many decades across columns, so a
+  // global max|A| threshold would misdiagnose them as singular).
+  unsigned char ok = 1;
+  screen_input<Unit>(a, vals, factors_, &ok);
+  if (!ok) {
+    throw NumericalError("sparse LU: matrix has non-finite entries");
+  }
+  if (!(factors_.cap[0] > 0.0)) {
+    // Maximally singular, not API misuse: stay inside the Newton fallback
+    // machinery like any other singular Jacobian (dense engine agrees).
+    throw NumericalError("sparse LU: zero matrix");
+  }
+
+  if (!(pattern_matches(a) && refactor_batch_kernel<Unit>(
+                                  a, vals, factors_, &ok, pivot_tol,
+                                  /*early_abort=*/true))) {
+    // First factorisation, new pattern, or a frozen pivot collapsed: run
+    // the full analysis with fresh pivoting. The analysis fixes the pivot
+    // order and the pattern only; the factor values always come from the
+    // kernel, so a factorisation right after an analysis equals every
+    // later frozen one to the bit. (The analysis's own elimination can
+    // differ in the sign of an exact zero against the dense supernode, and
+    // in the last bit where the compiler fuses complex products
+    // differently, e.g. into FMA add-subs on x86-64-v3.) The pivots it
+    // chose stand, so the screens are not judged again.
+    analyze(a, pivot_tol);
+    (void)refactor_batch_kernel<Unit>(a, vals, factors_, &ok, pivot_tol,
+                                      /*early_abort=*/false);
+  }
+
+  // 1-norm of A for condition_estimate(). The solve buffer (sized by the
+  // analysis above) is free between solves -- solve_in_place overwrites it
+  // fully -- so borrowing it keeps refactor() allocation-free. Magnitude
+  // sums are non-negative reals, so they live in the scalar's real part.
+  std::vector<Scalar>& colsum = factors_.perm;
+  std::fill(colsum.begin(), colsum.end(), Scalar{});
+  const std::vector<int>& cols = a.col_index();
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    colsum[static_cast<std::size_t>(cols[i])] += Scalar(scalar_abs(vals[i]));
+  }
+  a_norm1_ = 0.0;
+  for (const Scalar& s : colsum) a_norm1_ = std::max(a_norm1_, scalar_abs(s));
+}
+
+template <typename Scalar>
+template <typename Ops>
+void SparseLuFactorizationT<Scalar>::screen_input(
+    const SparseMatrixT<Scalar>& pattern, const Scalar* vals, ValuePlanes& p,
+    unsigned char* lane_ok) const {
+  const std::size_t K = Ops::lanes(p.lanes);
+  p.colmax.assign(pattern.cols() * K, 0.0);
+  p.cap.assign(K, 0.0);
+  screen_values<Ops>(lane_ok, vals, pattern.col_index(), p.cap.data(),
+                     p.colmax.data(), K);
+  // cap held max|A| per lane; it becomes the growth cap (still 0 exactly
+  // for an all-zero lane).
+  for (double& c : p.cap) c *= kGrowthLimit;
+}
+
+template <typename Scalar>
+template <typename Ops>
+bool SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
+    const SparseMatrixT<Scalar>& pattern, const Scalar* vals, ValuePlanes& p,
+    unsigned char* lane_ok, double pivot_tol, bool early_abort) {
+  const std::size_t K = Ops::lanes(p.lanes);
+  const std::size_t sn = sn_start_;
+  const std::size_t bdim = n_ - sn;
+  // Plain pointers: the byte-wide lane_ok stores below may alias any
+  // object, so vector members would be re-read after every step.
+  const int* row_ptr = pattern.row_ptr().data();
+  const int* astep = astep_.data();
+  const int* l_ptr = l_ptr_.data();
+  const int* l_step = l_step_.data();
+  const int* u_ptr = u_ptr_.data();
+  const int* u_step = u_step_.data();
+  Scalar* l_val = p.l_val.data();
+  Scalar* u_val = p.u_val.data();
+  Scalar* udiag = p.udiag.data();
+  Scalar* work = p.work.data();
+  Scalar* snb = p.sn_val.data();
+  double* gmax = p.gmax.data();
+  std::fill(p.gmax.begin(), p.gmax.end(), 0.0);
+
+  // Cross-block entries never join the elimination: refresh their raw
+  // copies for the solve's block back-substitution and skip them below
+  // (their astep_ is -1).
+  for (std::size_t t = 0; t < off_a_idx_.size(); ++t) {
+    Ops::copy(p.off_val.data() + t * K,
+              vals + static_cast<std::size_t>(off_a_idx_[t]) * K, K);
+  }
+  // All lanes per elimination step. Lanes are arithmetically independent:
+  // a rejected pivot only poisons its own plane.
+  for (std::size_t k = 0; k < n_; ++k) {
+    const int r = rperm_[k];
+    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+      if (astep[i] < 0) continue;
+      Ops::add(work + static_cast<std::size_t>(astep[i]) * K,
+               vals + static_cast<std::size_t>(i) * K, K);
+    }
+    // Sparse replay of the L row along the cached pattern. A supernode row
+    // replays only its out-of-block prefix (ascending steps, so the prefix
+    // ends at the first in-block entry).
+    for (int li = l_ptr[k]; li < l_ptr[k + 1]; ++li) {
+      const std::size_t j = static_cast<std::size_t>(l_step[li]);
+      if (j >= sn) break;
+      Scalar* lv = l_val + static_cast<std::size_t>(li) * K;
+      Ops::div_take(lv, work + j * K, udiag + j * K, K);
+      sub_scatter<Ops>(work, lv, u_val, u_step, u_ptr[j], u_ptr[j + 1], K);
+    }
+    Scalar* dk = udiag + k * K;
+    if (k < sn) {
+      Ops::take_absmax(dk, work + k * K, gmax, K);
+      take_row<Ops>(u_val, work, u_step, u_ptr[k], u_ptr[k + 1], gmax, K);
+    } else {
+      // Dense supernode row: eliminate inside the B x B block with
+      // contiguous loops. The per-position arithmetic matches the sparse
+      // replay exactly except on structural zeros, where only the sign of
+      // an exact zero can differ -- which is why every stored factor value
+      // comes from this kernel (see the post-analysis pass in refactor()).
+      const std::size_t kb = k - sn;
+      Scalar* drow = snb + kb * bdim * K;
+      Ops::take_flat(drow, work + sn * K, bdim * K);
+      // Tiled policies split the row: multipliers and the leading (t < kb)
+      // updates j-outer here, the trailing block register-tiled t-outer in
+      // supernode_trailing (see there for the bit-identity argument).
+      const std::size_t lead_end = Ops::kTiled ? kb : bdim;
+      for (std::size_t jb = 0; jb < kb; ++jb) {
+        Scalar* lv = drow + jb * K;
+        Ops::div_inplace(lv, snb + (jb * bdim + jb) * K, K);
+        sub_axpy<Ops>(drow, lv, snb + jb * bdim * K, jb + 1, lead_end, K);
+      }
+      if constexpr (Ops::kTiled) {
+        Ops::supernode_trailing(drow, snb, kb, bdim, K);
+      }
+      Ops::copy_absmax(dk, drow + kb * K, gmax, K);
+      for (std::size_t t = kb + 1; t < bdim; ++t) {
+        Ops::absmax(gmax, drow + t * K, K);
+      }
+    }
+    // Pivot above its own column's current scale, growth bounded. Both
+    // checks run after this row's gather, so an early abort leaves the
+    // work plane clean (a supernode row's dirt lives in the block).
+    Ops::screen_pivot(lane_ok, dk,
+                      p.colmax.data() +
+                          static_cast<std::size_t>(cperm_[k]) * K,
+                      gmax, p.cap.data(), pivot_tol, K);
+    if (early_abort && !lane_ok[0]) return false;
+  }
+  // Mirror the dense block's pattern positions back into the flat factor
+  // planes: the solve / condition / diagnostic paths stay oblivious to
+  // the supernode.
+  for (std::size_t t = 0; t < sn_l_idx_.size(); ++t) {
+    Ops::copy(l_val + static_cast<std::size_t>(sn_l_idx_[t]) * K,
+              snb + static_cast<std::size_t>(sn_l_pos_[t]) * K, K);
+  }
+  for (std::size_t t = 0; t < sn_u_idx_.size(); ++t) {
+    Ops::copy(u_val + static_cast<std::size_t>(sn_u_idx_[t]) * K,
+              snb + static_cast<std::size_t>(sn_u_pos_[t]) * K, K);
+  }
+  return true;
+}
 
 template <typename Scalar>
 void SparseLuFactorizationT<Scalar>::refactor_batch(
@@ -1697,304 +1778,34 @@ void SparseLuFactorizationT<Scalar>::refactor_batch(
   const std::size_t K = batch.lanes();
   ICVBE_REQUIRE(lane_ok.size() == K,
                 "sparse LU batch: lane_ok size must equal the lane count");
-
-  // (Re)shape the lane planes; steady state re-enters with the same
-  // (analysis, K) and never allocates.
-  if (batch_lanes_ != K || l_val_b_.size() != l_val_.size() * K ||
-      u_val_b_.size() != u_val_.size() * K || udiag_b_.size() != n_ * K ||
-      sn_val_b_.size() != sn_val_.size() * K ||
-      off_val_b_.size() != off_val_.size() * K) {
-    batch_lanes_ = K;
-    l_val_b_.resize(l_val_.size() * K);
-    u_val_b_.resize(u_val_.size() * K);
-    udiag_b_.resize(n_ * K);
-    sn_val_b_.resize(sn_val_.size() * K);
-    off_val_b_.resize(off_val_.size() * K);
-    work_b_.resize(n_ * K);
-    colmax_b_.resize(n_ * K);
-    amax_b_.resize(K);
-    gmax_b_.resize(K);
-    perm_b_.resize(n_ * K);
-  }
-  // Failed lanes may have left garbage in the scatter planes last call
-  // (the scalar pass keeps work_ clean by construction; an aborted lane
-  // cannot).
-  std::fill(work_b_.begin(), work_b_.end(), Scalar{});
-  std::fill(colmax_b_.begin(), colmax_b_.end(), 0.0);
-  std::fill(amax_b_.begin(), amax_b_.end(), 0.0);
-  std::fill(gmax_b_.begin(), gmax_b_.end(), 0.0);
-
-  // Kernel selection. Real-valued batches take the pack policy (explicit
-  // SIMD across the lane planes) with the common lane counts pinned at
-  // compile time so the per-slot K-loops unroll flat -- at bandgap-cell
-  // row sizes the loop control would otherwise cost as much as the
-  // arithmetic. Complex batches and the runtime A/B baseline
-  // (set_batch_simd(false)) take the scalar-lane policy, which is the
-  // pre-SIMD kernel verbatim. Both policies run the identical per-lane FP
-  // sequence, so the choice never changes a bit of the factors.
-  if constexpr (std::is_same_v<Scalar, double>) {
-    if (batch_simd_) {
-      switch (K) {
-        case 4:
-          refactor_batch_kernel<PackLaneOps<4>>(batch, lane_ok, pivot_tol);
-          return;
-        case 8:
-          refactor_batch_kernel<PackLaneOps<8>>(batch, lane_ok, pivot_tol);
-          return;
-        case 16:
-          refactor_batch_kernel<PackLaneOps<16>>(batch, lane_ok, pivot_tol);
-          return;
-        default:
-          refactor_batch_kernel<PackLaneOps<0>>(batch, lane_ok, pivot_tol);
-          return;
-      }
+  // Steady state re-enters with the same (analysis, K) and never allocates.
+  batch_.shape(K, n_, l_step_.size(), u_step_.size(),
+               factors_.sn_val.size(), off_a_idx_.size());
+  const Scalar* vals = batch.values().data();
+  with_batch_ops<Scalar>(K, batch_simd_, [&](auto ops) {
+    using Ops = decltype(ops);
+    // Non-finite values or an all-zero matrix fail the lane (where
+    // refactor() throws).
+    screen_input<Ops>(batch.pattern(), vals, batch_, lane_ok.data());
+    for (std::size_t l = 0; l < K; ++l) {
+      lane_ok[l] = static_cast<unsigned char>(
+          lane_ok[l] & (batch_.cap[l] > 0.0 ? 1 : 0));
     }
-  }
-  refactor_batch_kernel<ScalarLaneOps<Scalar>>(batch, lane_ok, pivot_tol);
+    (void)refactor_batch_kernel<Ops>(batch.pattern(), vals, batch_,
+                                     lane_ok.data(), pivot_tol,
+                                     /*early_abort=*/false);
+  });
 }
 
 template <typename Scalar>
 template <typename Ops>
-void SparseLuFactorizationT<Scalar>::refactor_batch_kernel(
-    const SparseValueBatchT<Scalar>& batch,
-    std::vector<unsigned char>& lane_ok, double pivot_tol) {
-  const std::size_t K = batch.lanes();
-  // Per-lane input screen: the batched twin of refactor()'s prologue.
-  // Non-finite values or an all-zero matrix fail the lane (where the
-  // scalar path throws); the same pass fills the per-lane column maxima
-  // for the column-relative pivot test.
-  const std::vector<int>& cols = batch.pattern().col_index();
-  const std::vector<Scalar>& vals = batch.values();
-  const std::size_t nnz = vals.size() / K;
-  for (std::size_t i = 0; i < nnz; ++i) {
-    Ops::screen_input(
-        lane_ok.data(), vals.data() + i * K, amax_b_.data(),
-        colmax_b_.data() + static_cast<std::size_t>(cols[i]) * K, K);
-  }
-  for (std::size_t l = 0; l < K; ++l) {
-    lane_ok[l] =
-        static_cast<unsigned char>(lane_ok[l] & (amax_b_[l] > 0.0 ? 1 : 0));
-    // The growth cap repurposes amax_b_ in place (amax is not needed
-    // beyond this point).
-    amax_b_[l] *= 1e8;  // kGrowthLimit, as in refactor_frozen
-  }
-
-  // Frozen numeric pass, all K lanes per elimination step. Each lane's
-  // per-slot operation sequence is exactly refactor_frozen's, so a lane
-  // that passes produces bit-identical factors to a scalar refactor of
-  // the same values under this analysis. Lanes are arithmetically
-  // independent: a rejected pivot only poisons its own plane.
-  const std::vector<int>& row_ptr = batch.pattern().row_ptr();
-  const std::size_t sn = sn_start_;
-  const std::size_t bdim = n_ - sn;
-  // Raw per-lane copies of the unfactored cross-block entries.
-  for (std::size_t t = 0; t < off_a_idx_.size(); ++t) {
-    Ops::copy(off_val_b_.data() + t * K,
-              vals.data() + static_cast<std::size_t>(off_a_idx_[t]) * K, K);
-  }
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::size_t r = static_cast<std::size_t>(rperm_[k]);
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      const int s = astep_[static_cast<std::size_t>(i)];
-      if (s < 0) continue;
-      Ops::add(work_b_.data() + static_cast<std::size_t>(s) * K,
-               vals.data() + static_cast<std::size_t>(i) * K, K);
-    }
-    Scalar* dk = udiag_b_.data() + k * K;
-    if (k < sn) {
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        Scalar* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
-        Ops::div_take(lv, work_b_.data() + j * K, udiag_b_.data() + j * K,
-                      K);
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          Ops::submul(
-              work_b_.data() +
-                  static_cast<std::size_t>(
-                      u_step_[static_cast<std::size_t>(ui)]) *
-                      K,
-              lv, u_val_b_.data() + static_cast<std::size_t>(ui) * K, K);
-        }
-      }
-      Ops::take_absmax(dk, work_b_.data() + k * K, gmax_b_.data(), K);
-      for (int ui = u_ptr_[k]; ui < u_ptr_[k + 1]; ++ui) {
-        Ops::take_absmax(
-            u_val_b_.data() + static_cast<std::size_t>(ui) * K,
-            work_b_.data() +
-                static_cast<std::size_t>(
-                    u_step_[static_cast<std::size_t>(ui)]) *
-                    K,
-            gmax_b_.data(), K);
-      }
-    } else {
-      // Dense supernode row, K lanes in lockstep -- per lane this is
-      // exactly the scalar dense path's operation sequence, which is what
-      // keeps batch factors bit-identical to scalar refactors.
-      const std::size_t kb = k - sn;
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        const std::size_t j =
-            static_cast<std::size_t>(l_step_[static_cast<std::size_t>(li)]);
-        if (j >= sn) break;
-        Scalar* lv = l_val_b_.data() + static_cast<std::size_t>(li) * K;
-        Ops::div_take(lv, work_b_.data() + j * K, udiag_b_.data() + j * K,
-                      K);
-        for (int ui = u_ptr_[j]; ui < u_ptr_[j + 1]; ++ui) {
-          Ops::submul(
-              work_b_.data() +
-                  static_cast<std::size_t>(
-                      u_step_[static_cast<std::size_t>(ui)]) *
-                      K,
-              lv, u_val_b_.data() + static_cast<std::size_t>(ui) * K, K);
-        }
-      }
-      Scalar* drow = sn_val_b_.data() + kb * bdim * K;
-      Ops::take_flat(drow, work_b_.data() + sn * K, bdim * K);
-      if constexpr (Ops::kTiled) {
-        // Phase-split replay: multipliers and the leading (t < kb) updates
-        // j-outer as before, then the trailing block register-tiled
-        // t-outer (see supernode_trailing for the bit-identity argument).
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          Scalar* lv = drow + jb * K;
-          Ops::div_inplace(lv, sn_val_b_.data() + (jb * bdim + jb) * K, K);
-          const Scalar* urow = sn_val_b_.data() + jb * bdim * K;
-          for (std::size_t t = jb + 1; t < kb; ++t) {
-            Ops::submul(drow + t * K, lv, urow + t * K, K);
-          }
-        }
-        Ops::supernode_trailing(drow, sn_val_b_.data(), kb, bdim, K);
-      } else {
-        for (std::size_t jb = 0; jb < kb; ++jb) {
-          Scalar* lv = drow + jb * K;
-          Ops::div_inplace(lv, sn_val_b_.data() + (jb * bdim + jb) * K, K);
-          const Scalar* urow = sn_val_b_.data() + jb * bdim * K;
-          for (std::size_t t = jb + 1; t < bdim; ++t) {
-            Ops::submul(drow + t * K, lv, urow + t * K, K);
-          }
-        }
-      }
-      Ops::copy_absmax(dk, drow + kb * K, gmax_b_.data(), K);
-      for (std::size_t t = kb + 1; t < bdim; ++t) {
-        Ops::absmax(gmax_b_.data(), drow + t * K, K);
-      }
-    }
-    // Same acceptance as the scalar frozen pass: pivot above its own
-    // column's scale, growth bounded (amax_b_ now holds the cap).
-    Ops::screen_pivot(lane_ok.data(), dk,
-                      colmax_b_.data() +
-                          static_cast<std::size_t>(cperm_[k]) * K,
-                      gmax_b_.data(), amax_b_.data(), pivot_tol, K);
-  }
-  // Mirror the dense block planes back into the flat factor planes, as
-  // the scalar frozen pass does for its factor arrays.
-  for (std::size_t t = 0; t < sn_l_idx_.size(); ++t) {
-    Ops::copy(l_val_b_.data() + static_cast<std::size_t>(sn_l_idx_[t]) * K,
-              sn_val_b_.data() + static_cast<std::size_t>(sn_l_pos_[t]) * K,
-              K);
-  }
-  for (std::size_t t = 0; t < sn_u_idx_.size(); ++t) {
-    Ops::copy(u_val_b_.data() + static_cast<std::size_t>(sn_u_idx_[t]) * K,
-              sn_val_b_.data() + static_cast<std::size_t>(sn_u_pos_[t]) * K,
-              K);
-  }
-}
-
-template <typename Scalar>
-void SparseLuFactorizationT<Scalar>::solve_batch(
-    std::vector<Scalar>& rhs) const {
-  ICVBE_REQUIRE(batch_lanes_ > 0, "sparse LU batch: refactor_batch() first");
-  ICVBE_REQUIRE(rhs.size() == n_ * batch_lanes_,
-                "sparse LU batch solve: rhs size mismatch");
-  // Same kernel selection as refactor_batch (see the comment there).
-  if constexpr (std::is_same_v<Scalar, double>) {
-    if (batch_simd_) {
-      switch (batch_lanes_) {
-        case 4:
-          solve_batch_kernel<PackLaneOps<4>>(rhs);
-          return;
-        case 8:
-          solve_batch_kernel<PackLaneOps<8>>(rhs);
-          return;
-        case 16:
-          solve_batch_kernel<PackLaneOps<16>>(rhs);
-          return;
-        default:
-          solve_batch_kernel<PackLaneOps<0>>(rhs);
-          return;
-      }
-    }
-  }
-  solve_batch_kernel<ScalarLaneOps<Scalar>>(rhs);
-}
-
-template <typename Scalar>
-template <typename Ops>
-void SparseLuFactorizationT<Scalar>::solve_batch_kernel(
-    std::vector<Scalar>& rhs) const {
-  const std::size_t K = batch_lanes_;
-  // Per lane this is exactly solve_in_place's operation sequence (the
-  // running accumulator becomes in-place updates applied in the same
-  // order, which is the same FP sequence).
-  for (std::size_t k = 0; k < n_; ++k) {
-    Ops::copy(perm_b_.data() + k * K,
-              rhs.data() + static_cast<std::size_t>(rperm_[k]) * K, K);
-  }
-  // Block back-substitution mirroring solve_in_place, K lanes per step.
-  for (std::size_t b = bstep_ptr_.size() - 1; b-- > 0;) {
-    const std::size_t lo = static_cast<std::size_t>(bstep_ptr_[b]);
-    const std::size_t hi = static_cast<std::size_t>(bstep_ptr_[b + 1]);
-    for (std::size_t k = lo; k < hi; ++k) {
-      Scalar* pk = perm_b_.data() + k * K;
-      for (int t = off_ptr_[k]; t < off_ptr_[k + 1]; ++t) {
-        Ops::submul(
-            pk, off_val_b_.data() + static_cast<std::size_t>(t) * K,
-            perm_b_.data() +
-                static_cast<std::size_t>(
-                    off_step_[static_cast<std::size_t>(t)]) *
-                    K,
-            K);
-      }
-    }
-    for (std::size_t k = lo; k < hi; ++k) {
-      Scalar* pk = perm_b_.data() + k * K;
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        Ops::submul(
-            pk, l_val_b_.data() + static_cast<std::size_t>(li) * K,
-            perm_b_.data() +
-                static_cast<std::size_t>(
-                    l_step_[static_cast<std::size_t>(li)]) *
-                    K,
-            K);
-      }
-    }
-    for (std::size_t ki = hi; ki-- > lo;) {
-      Scalar* pk = perm_b_.data() + ki * K;
-      for (int ui = u_ptr_[ki]; ui < u_ptr_[ki + 1]; ++ui) {
-        Ops::submul(
-            pk, u_val_b_.data() + static_cast<std::size_t>(ui) * K,
-            perm_b_.data() +
-                static_cast<std::size_t>(
-                    u_step_[static_cast<std::size_t>(ui)]) *
-                    K,
-            K);
-      }
-      Ops::div_inplace(pk, udiag_b_.data() + ki * K, K);
-    }
-  }
-  for (std::size_t k = 0; k < n_; ++k) {
-    Ops::copy(rhs.data() + static_cast<std::size_t>(cperm_[k]) * K,
-              perm_b_.data() + k * K, K);
-  }
-}
-
-template <typename Scalar>
-void SparseLuFactorizationT<Scalar>::solve_in_place(
-    VectorT<Scalar>& rhs) const {
-  ICVBE_REQUIRE(analyzed_, "sparse LU: refactor() before solving");
-  ICVBE_REQUIRE(rhs.size() == n_, "sparse LU solve: rhs size mismatch");
+void SparseLuFactorizationT<Scalar>::solve_batch_kernel(const ValuePlanes& p,
+                                                        Scalar* rhs) const {
+  const std::size_t K = Ops::lanes(p.lanes);
+  Scalar* z = p.perm.data();
   // z = P b (step space).
   for (std::size_t k = 0; k < n_; ++k) {
-    perm_[k] = rhs[static_cast<std::size_t>(rperm_[k])];
+    Ops::copy(z + k * K, rhs + static_cast<std::size_t>(rperm_[k]) * K, K);
   }
   // Block back-substitution, last block first: the factor is
   // block-diagonal, so each block is an independent L/U solve once the
@@ -2005,39 +1816,44 @@ void SparseLuFactorizationT<Scalar>::solve_in_place(
     const std::size_t lo = static_cast<std::size_t>(bstep_ptr_[b]);
     const std::size_t hi = static_cast<std::size_t>(bstep_ptr_[b + 1]);
     for (std::size_t k = lo; k < hi; ++k) {
-      Scalar acc = perm_[k];
-      for (int t = off_ptr_[k]; t < off_ptr_[k + 1]; ++t) {
-        acc -= off_val_[static_cast<std::size_t>(t)] *
-               perm_[static_cast<std::size_t>(
-                   off_step_[static_cast<std::size_t>(t)])];
-      }
-      perm_[k] = acc;
+      sub_gather<Ops>(z + k * K, p.off_val.data(), off_step_.data(),
+                      off_ptr_[k], off_ptr_[k + 1], z, K);
     }
     // Forward substitution with unit-lower L.
     for (std::size_t k = lo; k < hi; ++k) {
-      Scalar acc = perm_[k];
-      for (int li = l_ptr_[k]; li < l_ptr_[k + 1]; ++li) {
-        acc -= l_val_[static_cast<std::size_t>(li)] *
-               perm_[static_cast<std::size_t>(
-                   l_step_[static_cast<std::size_t>(li)])];
-      }
-      perm_[k] = acc;
+      sub_gather<Ops>(z + k * K, p.l_val.data(), l_step_.data(), l_ptr_[k],
+                      l_ptr_[k + 1], z, K);
     }
     // Back substitution with U.
     for (std::size_t ki = hi; ki-- > lo;) {
-      Scalar acc = perm_[ki];
-      for (int ui = u_ptr_[ki]; ui < u_ptr_[ki + 1]; ++ui) {
-        acc -= u_val_[static_cast<std::size_t>(ui)] *
-               perm_[static_cast<std::size_t>(
-                   u_step_[static_cast<std::size_t>(ui)])];
-      }
-      perm_[ki] = acc / udiag_[ki];
+      sub_gather<Ops>(z + ki * K, p.u_val.data(), u_step_.data(), u_ptr_[ki],
+                      u_ptr_[ki + 1], z, K);
+      Ops::div_inplace(z + ki * K, p.udiag.data() + ki * K, K);
     }
   }
   // x = Q w (undo the column permutation).
   for (std::size_t k = 0; k < n_; ++k) {
-    rhs[static_cast<std::size_t>(cperm_[k])] = perm_[k];
+    Ops::copy(rhs + static_cast<std::size_t>(cperm_[k]) * K, z + k * K, K);
   }
+}
+
+template <typename Scalar>
+void SparseLuFactorizationT<Scalar>::solve_batch(
+    std::vector<Scalar>& rhs) const {
+  ICVBE_REQUIRE(batch_.lanes > 0, "sparse LU batch: refactor_batch() first");
+  ICVBE_REQUIRE(rhs.size() == n_ * batch_.lanes,
+                "sparse LU batch solve: rhs size mismatch");
+  with_batch_ops<Scalar>(batch_.lanes, batch_simd_, [&](auto ops) {
+    solve_batch_kernel<decltype(ops)>(batch_, rhs.data());
+  });
+}
+
+template <typename Scalar>
+void SparseLuFactorizationT<Scalar>::solve_in_place(
+    VectorT<Scalar>& rhs) const {
+  ICVBE_REQUIRE(analyzed_, "sparse LU: refactor() before solving");
+  ICVBE_REQUIRE(rhs.size() == n_, "sparse LU solve: rhs size mismatch");
+  solve_batch_kernel<typename UnitLane<Scalar>::type>(factors_, rhs.data());
 }
 
 template <typename Scalar>

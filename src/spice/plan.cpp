@@ -3,6 +3,7 @@
 #include "icvbe/spice/batch_session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cctype>
@@ -695,6 +696,30 @@ struct BoundAxis {
         break;
     }
   }
+
+  /// The circuit value apply() overwrites, in the circuit's own units
+  /// (volts, amps, kelvin, nominal ohms): what restore() puts back.
+  [[nodiscard]] double value() const {
+    switch (kind) {
+      case SweepAxis::Kind::kVsource:
+        return vsource->voltage();
+      case SweepAxis::Kind::kIsource:
+        return isource->current();
+      case SweepAxis::Kind::kTemperature:
+        return circuit->temperature();
+      case SweepAxis::Kind::kResistor:
+        return resistor->nominal_resistance();
+    }
+    return 0.0;  // unreachable
+  }
+
+  void restore(double saved) const {
+    if (kind == SweepAxis::Kind::kTemperature) {
+      circuit->set_temperature(saved);  // kelvin, whatever the axis unit
+    } else {
+      apply(saved);
+    }
+  }
 };
 
 BoundAxis bind_axis(const SweepAxis& axis, Circuit& circuit) {
@@ -717,6 +742,40 @@ BoundAxis bind_axis(const SweepAxis& axis, Circuit& circuit) {
   }
   return b;
 }
+
+/// Puts back, on every exit path of a sweep, the circuit values its axes
+/// overwrite, so the session's next run starts from the circuit its caller
+/// configured and not from the sweep's last grid point. A circuit that
+/// never had a temperature keeps the last swept one: devices have no
+/// "unset" temperature to return to.
+class SweptValuesGuard {
+ public:
+  SweptValuesGuard(const AnalysisPlan& plan, Circuit& circuit) {
+    for (const SweepAxis& axis : plan.axes) {
+      Saved& s = saved_.at(count_++);
+      s.axis = bind_axis(axis, circuit);
+      s.valid = axis.kind() != SweepAxis::Kind::kTemperature ||
+                circuit.has_temperature();
+      if (s.valid) s.value = s.axis.value();
+    }
+  }
+  SweptValuesGuard(const SweptValuesGuard&) = delete;
+  SweptValuesGuard& operator=(const SweptValuesGuard&) = delete;
+  ~SweptValuesGuard() {
+    for (std::size_t i = count_; i-- > 0;) {
+      if (saved_[i].valid) saved_[i].axis.restore(saved_[i].value);
+    }
+  }
+
+ private:
+  struct Saved {
+    BoundAxis axis;
+    double value = 0.0;
+    bool valid = false;
+  };
+  std::array<Saved, 2> saved_{};  ///< run() accepts at most two axes
+  std::size_t count_ = 0;
+};
 
 /// One postfix instruction of a compiled probe.
 struct ProbeInstr {
@@ -1344,6 +1403,8 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
   if (stream.active()) {
     observer->on_begin(out.axis_labels_, out.probe_labels_, out.rows_);
   }
+
+  const SweptValuesGuard swept_values(plan, *circuit_);
 
   // The warm start live at run() entry (e.g. .NODESET hints or an
   // analytic startup guess) doubles as the deterministic seed: 2-axis

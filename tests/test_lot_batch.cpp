@@ -65,54 +65,109 @@ void fill_lane_values(linalg::SparseMatrix& m, std::size_t n, std::size_t l) {
 
 TEST(SparseBatchKernelTest, BatchMatchesScalarFrozenRefactorBitwise) {
   const std::size_t n = 24;
-  const std::size_t k = 4;
-  linalg::SparseMatrix m = make_pattern(n);
   const std::size_t nn = n + 1;
+  linalg::SparseMatrix m = make_pattern(n);
 
-  // Scalar reference: one factorisation, analysis pinned at lane 0's
-  // values, then a frozen refactor + solve per lane.
-  fill_lane_values(m, n, 0);
-  linalg::SparseLuFactorization scalar_lu;
-  scalar_lu.refactor(m);
-  std::vector<linalg::Vector> scalar_x(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    fill_lane_values(m, n, l);
-    scalar_lu.refactor(m);  // same pattern stamp: frozen-pivot refactor
-    linalg::Vector b(nn, 0.0);
-    for (std::size_t i = 0; i < nn; ++i)
-      b[i] = 1.0 + 0.5 * static_cast<double>(i) +
-             0.125 * static_cast<double>(l);
-    scalar_lu.solve_in_place(b);
-    scalar_x[l] = std::move(b);
+  // Engine configurations: the default path, and a trailing supernode
+  // forced onto the chain's tail (the dense kernel then carries the last
+  // rows). Each scalar reference is checked against the batch on the pack
+  // kernel and, where listed, on the scalar-lane one.
+  linalg::SparseOptions forced_sn;
+  forced_sn.supernode_min = 8;
+  forced_sn.supernode_density = 0.3;
+  struct Case {
+    const char* name;
+    linalg::SparseOptions options;
+    std::size_t k;
+    std::vector<bool> simd;
+  };
+  const Case cases[] = {
+      {"default, K = 4", linalg::SparseOptions{}, 4, {true}},
+      {"forced supernode, K = 8", forced_sn, 8, {true, false}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::size_t k = c.k;
+
+    // Scalar reference: one factorisation, analysis pinned at lane 0's
+    // values, then a frozen refactor + solve per lane.
+    fill_lane_values(m, n, 0);
+    linalg::SparseLuFactorization scalar_lu;
+    scalar_lu.set_options(c.options);
+    scalar_lu.refactor(m);
+    if (c.options == forced_sn) {
+      ASSERT_GT(scalar_lu.supernode_size(), 0u);
+    }
+    std::vector<linalg::Vector> scalar_x(k);
+    for (std::size_t l = 0; l < k; ++l) {
+      fill_lane_values(m, n, l);
+      scalar_lu.refactor(m);  // same pattern stamp: frozen-pivot refactor
+      linalg::Vector b(nn, 0.0);
+      for (std::size_t i = 0; i < nn; ++i)
+        b[i] = 1.0 + 0.5 * static_cast<double>(i) +
+               0.125 * static_cast<double>(l);
+      scalar_lu.solve_in_place(b);
+      scalar_x[l] = std::move(b);
+    }
+    EXPECT_EQ(scalar_lu.analysis_count(), 1);
+
+    for (const bool simd : c.simd) {
+      SCOPED_TRACE(simd ? "SIMD on" : "SIMD off");
+      // Batch: same analysis reference, all K lanes in one refactor/solve.
+      fill_lane_values(m, n, 0);
+      linalg::SparseLuFactorization batch_lu;
+      batch_lu.set_options(c.options);
+      batch_lu.set_batch_simd(simd);
+      batch_lu.refactor(m);
+      linalg::SparseValueBatch batch;
+      batch.bind(m, k);
+      for (std::size_t l = 0; l < k; ++l) {
+        fill_lane_values(m, n, l);
+        batch.load_lane(l, m);
+      }
+      std::vector<unsigned char> lane_ok(k, 1);
+      batch_lu.refactor_batch(batch, lane_ok);
+      for (std::size_t l = 0; l < k; ++l) EXPECT_EQ(lane_ok[l], 1);
+
+      std::vector<double> rhs(nn * k);
+      for (std::size_t i = 0; i < nn; ++i)
+        for (std::size_t l = 0; l < k; ++l)
+          rhs[i * k + l] = 1.0 + 0.5 * static_cast<double>(i) +
+                           0.125 * static_cast<double>(l);
+      batch_lu.solve_batch(rhs);
+
+      // Exact equality on purpose: the lockstep elimination must perform
+      // the scalar operation sequence per lane, to the bit.
+      for (std::size_t l = 0; l < k; ++l)
+        for (std::size_t i = 0; i < nn; ++i)
+          EXPECT_EQ(rhs[i * k + l], scalar_x[l][i])
+              << "lane " << l << " unknown " << i;
+    }
+
+    // A frozen pivot collapse on the scalar path still re-analyses exactly
+    // once. Zeroing one node's conductance diagonal collapses the pivot of
+    // any row eliminated before its neighbours (the matrix stays
+    // regular); each such lane costs one analysis, re-pinned afterwards.
+    int collapses = 0;
+    for (std::size_t zero = 0; zero < n; ++zero) {
+      scalar_lu.invalidate_analysis();
+      fill_lane_values(m, n, 0);
+      scalar_lu.refactor(m);
+      const int before = scalar_lu.analysis_count();
+      fill_lane_values(m, n, 1);
+      m.add(zero, zero, -m.at(zero, zero));
+      scalar_lu.refactor(m);
+      const int added = scalar_lu.analysis_count() - before;
+      EXPECT_LE(added, 1) << "zeroed diagonal " << zero;
+      collapses += added;
+      linalg::Vector x(nn, 1.0);
+      scalar_lu.solve_in_place(x);
+      const linalg::Vector ax = m.multiply(x);
+      for (std::size_t i = 0; i < nn; ++i)
+        EXPECT_NEAR(ax[i], 1.0, 1e-12) << "zeroed diagonal " << zero;
+    }
+    EXPECT_GE(collapses, 1) << "no zeroed diagonal collapsed a frozen pivot";
   }
-
-  // Batch: same analysis reference, all K lanes in one refactor/solve.
-  fill_lane_values(m, n, 0);
-  linalg::SparseLuFactorization batch_lu;
-  batch_lu.refactor(m);
-  linalg::SparseValueBatch batch;
-  batch.bind(m, k);
-  for (std::size_t l = 0; l < k; ++l) {
-    fill_lane_values(m, n, l);
-    batch.load_lane(l, m);
-  }
-  std::vector<unsigned char> lane_ok(k, 1);
-  batch_lu.refactor_batch(batch, lane_ok);
-  for (std::size_t l = 0; l < k; ++l) EXPECT_EQ(lane_ok[l], 1);
-
-  std::vector<double> rhs(nn * k);
-  for (std::size_t i = 0; i < nn; ++i)
-    for (std::size_t l = 0; l < k; ++l)
-      rhs[i * k + l] = 1.0 + 0.5 * static_cast<double>(i) +
-                       0.125 * static_cast<double>(l);
-  batch_lu.solve_batch(rhs);
-
-  // Exact equality on purpose: the lockstep elimination must perform the
-  // scalar operation sequence per lane, to the bit.
-  for (std::size_t l = 0; l < k; ++l)
-    for (std::size_t i = 0; i < nn; ++i)
-      EXPECT_EQ(rhs[i * k + l], scalar_x[l][i])
-          << "lane " << l << " unknown " << i;
 }
 
 TEST(SparseBatchKernelTest, SingularLaneIsFlaggedLaneMatesUnaffected) {

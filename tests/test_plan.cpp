@@ -9,8 +9,10 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "icvbe/bandgap/test_cell.hpp"
@@ -19,6 +21,7 @@
 #include "icvbe/lab/campaign.hpp"
 #include "icvbe/lab/silicon.hpp"
 #include "icvbe/spice/analysis.hpp"
+#include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
@@ -732,6 +735,110 @@ C1 out 0 1n
   // and matches an uncancelled session.
   const SweepResult again = session.run(*parsed.plan);
   EXPECT_GT(again.rows(), 10u);
+}
+
+/// A Banba sub-1-V bandgap deck whose .DC line is `dc`: small enough for
+/// the dense engine, and a cell whose AC answer depends on its supply and
+/// temperature.
+std::string banba_deck(const std::string& dc) {
+  return R"(
+VDD vdd 0 DC 1 AC 1
+.MODEL PMOSLV PMOS (VTO=0.45 KP=25u LAMBDA=0.04 TNOM=298.15)
+.MODEL PNPCELL PNP (IS=2e-16 BF=45 NF=1.0 EG=1.17 XTI=3.5 TNOM=298.15)
+M1 n1 gate vdd PMOSLV WL=120
+M2 n2 gate vdd PMOSLV WL=120
+M3 vref gate vdd PMOSLV WL=120
+R1A n1 0 26.1k
+Q1 0 0 n1 PNPCELL
+R1B n2 0 26.1k
+R0 n2 n2e 2.44k
+Q2 0 0 n2e PNPCELL AREA=8
+R2 vref 0 13k
+CL vref 0 10p
+U1 gate n2 n1 GAIN=1e6
+CG gate 0 5p
+.NODESET V(n1)=0.62 V(n2)=0.62 V(n2e)=0.566 V(vref)=0.6 V(gate)=0.375 V(vdd)=1
+)" + dc + R"(
+.AC DEC 10 1 1G
+.PROBE VDB(vref) VP(vref) V(vref)
+)";
+}
+
+/// One session on a parsed deck, reset before every run to the
+/// deck-described start (device state, warm start, .NODESET seed) -- the
+/// discipline of a cold CLI run and of every server RUN.
+struct DeckSession {
+  ParsedNetlist parsed;
+  std::unique_ptr<SimSession> sim;
+  Unknowns guess;
+
+  explicit DeckSession(const std::string& deck)
+      : parsed(parse_netlist(deck)) {
+    Circuit& c = *parsed.circuit;
+    c.set_temperature(to_kelvin(parsed.temperature_celsius));
+    guess = Unknowns(static_cast<std::size_t>(c.assign_unknowns()));
+    for (const auto& [node, value] : parsed.nodesets) {
+      guess.raw()[static_cast<std::size_t>(c.node(node) - 1)] = value;
+    }
+    sim = std::make_unique<SimSession>(c);
+  }
+
+  SweepResult run(AnalysisKind kind) {
+    for (const auto& dev : sim->circuit().devices()) dev->reset_state();
+    sim->invalidate_warm_start();
+    sim->seed_warm_start(guess);
+    return sim->run(*parsed.find_plan(kind));
+  }
+};
+
+void expect_bit_equal(const SweepResult& got, const SweepResult& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.probe_count(), want.probe_count());
+  for (std::size_t p = 0; p < want.probe_count(); ++p) {
+    for (std::size_t r = 0; r < want.rows(); ++r) {
+      EXPECT_EQ(got.value(p, r), want.value(p, r))
+          << "probe " << p << " row " << r;
+    }
+  }
+}
+
+TEST(AnalysisPlanTest, DcSweepPutsSweptValuesBackForTheNextRun) {
+  // A .DC run re-programs its swept source or temperature point by point;
+  // when it ends the circuit must hold its values from before the run, so
+  // the session's next run equals the same run on a fresh session.
+  const std::string deck = banba_deck(".DC VDD 0.9 1.2 0.05");
+  DeckSession warm(deck);
+  const double vdd = warm.parsed.circuit->get<VoltageSource>("VDD").voltage();
+  (void)warm.run(AnalysisKind::kDcSweep);
+  EXPECT_EQ(warm.parsed.circuit->get<VoltageSource>("VDD").voltage(), vdd);
+  const SweepResult warm_ac = warm.run(AnalysisKind::kAc);
+  DeckSession fresh(deck);
+  expect_bit_equal(warm_ac, fresh.run(AnalysisKind::kAc));
+
+  const std::string temp_deck = banba_deck(".DC TEMP 0 125 25");
+  DeckSession swept(temp_deck);
+  const double kelvin = swept.parsed.circuit->temperature();
+  (void)swept.run(AnalysisKind::kDcSweep);
+  EXPECT_EQ(swept.parsed.circuit->temperature(), kelvin);
+  const SweepResult swept_ac = swept.run(AnalysisKind::kAc);
+  DeckSession fresh_temp(temp_deck);
+  expect_bit_equal(swept_ac, fresh_temp.run(AnalysisKind::kAc));
+
+  // A circuit that never had set_temperature has no circuit temperature
+  // to go back to (its devices sit at their own model TNOMs), so it keeps
+  // the sweep's last point.
+  ParsedNetlist bare = parse_netlist(temp_deck);
+  Circuit& c = *bare.circuit;
+  Unknowns guess(static_cast<std::size_t>(c.assign_unknowns()));
+  for (const auto& [node, value] : bare.nodesets) {
+    guess.raw()[static_cast<std::size_t>(c.node(node) - 1)] = value;
+  }
+  SimSession bare_sim(c);
+  bare_sim.seed_warm_start(guess);
+  ASSERT_FALSE(c.has_temperature());
+  (void)bare_sim.run(*bare.find_plan(AnalysisKind::kDcSweep));
+  EXPECT_TRUE(c.has_temperature());
+  EXPECT_NEAR(c.temperature(), to_kelvin(125.0), 1e-9);
 }
 
 TEST(AnalysisPlanTest, SteadyStateAllocationsIndependentOfPointCount) {

@@ -50,6 +50,34 @@ C1 out 0 1n
 .PROBE V(out)
 )";
 
+/// A Banba sub-1-V bandgap with a supply ripple, whose .DC line is `dc`.
+/// Its AC and TRAN answers depend on the supply and the temperature, so a
+/// swept value left behind by a RUN DC shows in the next RUN.
+std::string banba_deck(const std::string& dc) {
+  return R"(
+VDD vdd 0 SIN(1 0.05 1MEG) AC 1
+.MODEL PMOSLV PMOS (VTO=0.45 KP=25u LAMBDA=0.04 TNOM=298.15)
+.MODEL PNPCELL PNP (IS=2e-16 BF=45 NF=1.0 EG=1.17 XTI=3.5 TNOM=298.15)
+M1 n1 gate vdd PMOSLV WL=120
+M2 n2 gate vdd PMOSLV WL=120
+M3 vref gate vdd PMOSLV WL=120
+R1A n1 0 26.1k
+Q1 0 0 n1 PNPCELL
+R1B n2 0 26.1k
+R0 n2 n2e 2.44k
+Q2 0 0 n2e PNPCELL AREA=8
+R2 vref 0 13k
+CL vref 0 10p
+U1 gate n2 n1 GAIN=1e6
+CG gate 0 5p
+.NODESET V(n1)=0.62 V(n2)=0.62 V(n2e)=0.566 V(vref)=0.6 V(gate)=0.375 V(vdd)=1
+)" + dc + R"(
+.AC DEC 10 1 1G
+.TRAN 10n 5u
+.PROBE VDB(vref) VP(vref) V(vref)
+)";
+}
+
 std::string unique_socket_path() {
   static std::atomic<int> counter{0};
   return "/tmp/icvbe_srv_" + std::to_string(::getpid()) + "_" +
@@ -230,6 +258,27 @@ TEST_F(ServerTest, PatchedWarmRerunMatchesAColdRunOfThePatchedDeck) {
   // And the patch genuinely changed the answer.
   ASSERT_EQ(before.rows_.size(), got.rows_.size());
   EXPECT_NE(before.rows_.at(5).second[0], got.rows_.at(5).second[0]);
+}
+
+TEST_F(ServerTest, RunAfterADcSweepMatchesAFreshSession) {
+  // A RUN DC puts back the supply or temperature it swept: the next RUN
+  // on the warm session streams exactly what a fresh session computes.
+  start();
+  Client client = connect();
+  for (const char* dc : {".DC VDD 0.9 1.2 0.05", ".DC TEMP 0 125 25"}) {
+    SCOPED_TRACE(dc);
+    const std::string deck = banba_deck(dc);
+    (void)client.load("banba", deck);
+    Collector sweep;
+    ASSERT_EQ(client.run("banba", "DC", &sweep).outcome, RunOutcome::kDone);
+    for (const char* analysis : {"AC", "TRAN"}) {
+      Collector got;
+      const RunResult r = client.run("banba", analysis, &got);
+      EXPECT_EQ(r.outcome, RunOutcome::kDone) << analysis;
+      expect_stream_matches(
+          got, local_run(deck, spice::analysis_kind_from_token(analysis)));
+    }
+  }
 }
 
 TEST_F(ServerTest, CancelMidRunStopsStreamingAndKeepsTheSessionUsable) {

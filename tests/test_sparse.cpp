@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numbers>
 #include <random>
 
 #include "icvbe/common/error.hpp"
@@ -357,6 +358,82 @@ TEST(SparseLuTest, ConditionEstimateMatchesDenseOnFillHeavyMesh) {
   ASSERT_GT(cd, 0.0);
   EXPECT_GT(cs, cd / 10.0);
   EXPECT_LT(cs, cd * 10.0);
+}
+
+// The complex lane through the dense supernode, on an AC-shaped system: a
+// conductance mesh with every node loaded by j*omega*C to ground, driven
+// through a voltage-source branch whose diagonal is structurally zero. One
+// analysis at the first frequency must carry the whole sweep, and every
+// point must agree with the dense complex LU.
+TEST(SparseLuTest, ComplexSupernodeMatchesDenseAcrossFrequencySweep) {
+  const int g = 14;
+  const std::size_t nodes = static_cast<std::size_t>(g) * g;
+  const std::size_t n = nodes + 1;  // + the source's branch current
+  auto idx = [g](int x, int y) { return static_cast<std::size_t>(x * g + y); };
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (int x = 0; x < g; ++x) {
+    for (int y = 0; y < g; ++y) {
+      if (x + 1 < g) edges.emplace_back(idx(x, y), idx(x + 1, y));
+      if (y + 1 < g) edges.emplace_back(idx(x, y), idx(x, y + 1));
+    }
+  }
+  std::mt19937 gen(11u);
+  std::uniform_real_distribution<double> dist(0.5e-3, 2e-3);
+  std::vector<double> conductance;
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    conductance.push_back(dist(gen));
+  }
+  auto stamp = [&](double omega, auto&& add) {
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      const auto [a, b] = edges[e];
+      const Complex y(conductance[e], 0.0);
+      add(a, a, y);
+      add(b, b, y);
+      add(a, b, -y);
+      add(b, a, -y);
+    }
+    for (std::size_t i = 0; i < nodes; ++i) {
+      add(i, i, Complex(1e-9, omega * 1e-12));  // gmin + j*omega*C
+    }
+    add(0, nodes, Complex(1.0));
+    add(nodes, 0, Complex(1.0));
+    add(nodes, nodes, Complex(0.0));
+  };
+
+  ComplexSparseMatrix s(n, n);
+  stamp(0.0, [&s](std::size_t r, std::size_t c, Complex v) { s.add(r, c, v); });
+  s.freeze_pattern();
+  ComplexSparseLuFactorization slu;
+  SparseOptions opts;  // force the supernode at this size, as above
+  opts.supernode_min = 8;
+  opts.supernode_density = 0.3;
+  slu.set_options(opts);
+
+  for (double f = 1e3; f <= 1e9; f *= 10.0) {
+    SCOPED_TRACE("f = " + std::to_string(f));
+    const double omega = 2.0 * std::numbers::pi * f;
+    s.fill(Complex{});
+    ComplexMatrix d(n, n, Complex{});
+    stamp(omega, [&](std::size_t r, std::size_t c, Complex v) {
+      s.add(r, c, v);
+      d(r, c) += v;
+    });
+    slu.refactor(s);
+    ASSERT_GT(slu.supernode_size(), 0u)
+        << "mesh did not engage the supernode kernel";
+
+    ComplexVector x(n, Complex{});
+    x[nodes] = Complex(1.0);  // 1 V AC drive
+    const ComplexVector xd = ComplexLuFactorization(d).solve(x);
+    slu.solve_in_place(x);
+    double scale = 0.0;
+    for (const Complex& v : xd) scale = std::max(scale, std::abs(v));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_LE(std::abs(x[i] - xd[i]), 1e-10 * scale) << "unknown " << i;
+    }
+  }
+  EXPECT_EQ(slu.analysis_count(), 1)
+      << "the sweep re-analysed instead of refactoring on the frozen pivots";
 }
 
 TEST(SparseLuTest, ConditionEstimateGrowsOnIllConditionedSystem) {

@@ -539,7 +539,9 @@ TEST(SparseOrderingHarness, BatchSimdKernelBitIdenticalToScalarLaneKernel) {
               << " SIMD kernel not bit-identical to scalar lane kernel";
         }
       }
-      if (rep % 4 != 3) ASSERT_TRUE(any_ok);
+      if (rep % 4 != 3) {
+        ASSERT_TRUE(any_ok);
+      }
 
       // Steady state: re-running the batch at the same shape allocates
       // nothing on either kernel path.
