@@ -324,6 +324,14 @@ struct BtfDecomposition {
 ///    the analysis is redone once with fresh pivoting (allocates; rare),
 ///    and NumericalError is thrown only if the matrix is genuinely
 ///    singular to working precision.
+///  * unchanged input factors once: refactor() keeps a copy of the values
+///    its last successful call factored and returns at once -- no screen,
+///    no kernel -- when the analysis still stands, the pattern and
+///    pivot_tol are the same and the values are bitwise identical. A
+///    linear circuit's Jacobian is constant across a Newton loop and a DC
+///    source sweep, so it pays one numeric factorisation per run, not one
+///    per iteration. Identical input yields identical factors, so the
+///    skip never changes a result.
 ///
 /// API mirrors the dense LuFactorizationT so SimSession can hold either.
 ///
@@ -349,6 +357,13 @@ class SparseLuFactorizationT {
   /// \post the factors match this matrix's values; a frozen-pivot
   ///       collapse or runaway element growth re-ran the analysis with
   ///       fresh pivoting (allocates; analysis_count() increments).
+  /// Early return: if the last call succeeded, the cached analysis still
+  /// stands (no invalidate_analysis() or option change since), `a` has the
+  /// analysed pattern_stamp(), pivot_tol is the same and memcmp finds the
+  /// values identical, the factors already match and nothing runs. The
+  /// compare is bitwise, so +0.0 vs -0.0 or a different NaN payload counts
+  /// as a change. A call that throws leaves no values to match, so the
+  /// next call with the same input screens and factors (and throws) again.
   void refactor(const SparseMatrixT<Scalar>& a, double pivot_tol = 1e-14);
 
   /// Solve A x = rhs with the solution overwriting rhs; allocation-free.
@@ -373,13 +388,22 @@ class SparseLuFactorizationT {
     return analysis_count_;
   }
 
+  /// How many refactor() calls ran the numeric factorisation rather than
+  /// returning early on unchanged values (diagnostic; a collapse that
+  /// re-analyses within one call still counts once). A linear circuit's
+  /// Newton loop should see 1 per run, a nonlinear one 1 per iteration.
+  [[nodiscard]] int numeric_refactor_count() const noexcept {
+    return numeric_refactor_count_;
+  }
+
   /// Drop the cached symbolic analysis: the next refactor() re-analyses
-  /// with fresh pivoting (allocates). Lets a driver re-pin the analysis
-  /// to a chosen reference matrix after a frozen-pivot collapse
-  /// re-ordered it mid-sweep -- the discipline SimSession::solve_ac uses
-  /// to keep every frequency point's factorisation a pure function of
-  /// (operating point, frequency, prime frequency), independent of which
-  /// sweep point (or parallel worker) tripped the collapse.
+  /// with fresh pivoting (allocates), even on unchanged values. Lets a
+  /// caller re-pin the analysis to a chosen reference matrix after a
+  /// frozen-pivot collapse re-ordered it mid-sweep -- the discipline
+  /// SimSession::solve_ac uses to keep every frequency point's
+  /// factorisation a pure function of (operating point, frequency, prime
+  /// frequency), independent of which sweep point (or parallel worker)
+  /// tripped the collapse.
   void invalidate_analysis() noexcept { analyzed_ = false; }
 
   /// Select the symbolic path (ordering / BTF / supernode thresholds).
@@ -523,6 +547,7 @@ class SparseLuFactorizationT {
   std::size_t n_ = 0;
   bool analyzed_ = false;
   int analysis_count_ = 0;
+  int numeric_refactor_count_ = 0;
   SparseOptions options_{};
   std::size_t btf_blocks_ = 0;  ///< diagonal blocks of the analysed pattern
   double a_norm1_ = 0.0;  ///< 1-norm of the last refactored A
@@ -573,6 +598,14 @@ class SparseLuFactorizationT {
   std::vector<int> sn_l_pos_;  ///< ...and their dense positions
   std::vector<int> sn_u_idx_;  ///< u_val slots inside the block...
   std::vector<int> sn_u_pos_;  ///< ...and their dense positions
+
+  // The input of the last successful refactor(), for its early return on
+  // unchanged values. Sized by the analysis (one slot per CSR entry) so
+  // the copy never allocates; factored_valid_ is cleared on entry to
+  // refactor() and set only once factors_ holds these values' factors.
+  std::vector<Scalar> factored_vals_;
+  double factored_pivot_tol_ = 0.0;
+  bool factored_valid_ = false;
 
   ValuePlanes factors_;  ///< the K = 1 lane: refactor() / solve_in_place()
   ValuePlanes batch_;    ///< refactor_batch() / solve_batch(); 0 lanes before

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <queue>
 #include <set>
@@ -1112,6 +1113,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   const std::size_t bdim = n - sn_start_;
   factors_.work.assign(n, Scalar{});
   factors_.shape(1, n, l_nnz, u_nnz, bdim * bdim, off_a_idx_.size());
+  factored_vals_.resize(values.size());
   pattern_stamp_ = a.pattern_stamp();
   analyzed_ = true;
   ++analysis_count_;
@@ -1600,6 +1602,16 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
   ICVBE_REQUIRE(a.rows() > 0, "sparse LU: empty matrix");
   using Unit = typename UnitLane<Scalar>::type;
   const Scalar* vals = a.values().data();
+  const std::size_t nnz = a.values().size();
+
+  // Unchanged input: the factors in factors_ are already this matrix's
+  // (a pattern match implies nnz == factored_vals_.size()).
+  if (factored_valid_ && pattern_matches(a) &&
+      pivot_tol == factored_pivot_tol_ &&
+      std::memcmp(vals, factored_vals_.data(), nnz * sizeof(Scalar)) == 0) {
+    return;
+  }
+  factored_valid_ = false;
 
   // Deterministic input screening: a NaN would otherwise win or lose every
   // pivot comparison silently and only surface at the first solve. The
@@ -1617,6 +1629,7 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
     throw NumericalError("sparse LU: zero matrix");
   }
 
+  ++numeric_refactor_count_;
   if (!(pattern_matches(a) && refactor_batch_kernel<Unit>(
                                   a, vals, factors_, &ok, pivot_tol,
                                   /*early_abort=*/true))) {
@@ -1646,6 +1659,10 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
   }
   a_norm1_ = 0.0;
   for (const Scalar& s : colsum) a_norm1_ = std::max(a_norm1_, scalar_abs(s));
+
+  std::memcpy(factored_vals_.data(), vals, nnz * sizeof(Scalar));
+  factored_pivot_tol_ = pivot_tol;
+  factored_valid_ = true;
 }
 
 template <typename Scalar>

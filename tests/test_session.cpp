@@ -14,6 +14,8 @@
 #include "icvbe/spice/analysis.hpp"
 #include "icvbe/spice/circuit.hpp"
 #include "icvbe/spice/dc_solver.hpp"
+#include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
 
@@ -206,6 +208,46 @@ TEST(SimSessionTest, NewtonLoopIsAllocationFreeAfterSetup) {
   EXPECT_GT(std::abs(vref_sum), 0.0);
   EXPECT_EQ(after - before, 0u)
       << "SimSession::solve() allocated on the steady-state path";
+}
+
+// The sparse engine's steady state on a linear deck: stepping the source
+// leaves the matrix unchanged, so refactor() returns early; re-programming
+// a resistor changes it, so refactor() factors and keeps a copy of the new
+// values. Neither path may touch the heap.
+TEST(SimSessionTest, SparseNewtonLoopIsAllocationFreeAfterSetup) {
+  SyntheticNetlistSpec spec;
+  spec.topology = SyntheticTopology::kResistorLadder;
+  spec.nodes = 120;
+  ParsedNetlist parsed = parse_netlist(generate_netlist(spec));
+  Circuit& c = *parsed.circuit;
+  NewtonOptions opt;
+  opt.sparse = SparseMode::kSparse;
+  SimSession session(c, opt);
+  ASSERT_TRUE(session.uses_sparse_engine());
+  auto& v1 = c.get<VoltageSource>("V1");
+  auto& rs1 = c.get<Resistor>("RS1");
+  const double rs1_ohms = rs1.nominal_resistance();
+
+  ASSERT_TRUE(session.solve().converged);  // warm-up: analysis + buffers
+  v1.set_voltage(4.0);
+  ASSERT_TRUE(session.solve().converged);
+
+  const std::uint64_t before = icvbe::testing::allocation_count();
+  bool all_converged = true;
+  double v_sum = 0.0;
+  for (int i = 0; i < 40; ++i) {
+    v1.set_voltage(3.0 + 0.05 * i);
+    if (i % 4 == 3) rs1.set_nominal_resistance(rs1_ohms * (1.0 + 0.01 * i));
+    const DcResult& r = session.solve();
+    all_converged = all_converged && r.converged;
+    v_sum += r.solution.node_voltage(2);
+  }
+  const std::uint64_t after = icvbe::testing::allocation_count();
+
+  EXPECT_TRUE(all_converged);
+  EXPECT_GT(std::abs(v_sum), 0.0);
+  EXPECT_EQ(after - before, 0u)
+      << "sparse SimSession::solve() allocated on the steady-state path";
 }
 
 }  // namespace

@@ -4,14 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <numbers>
 #include <random>
+#include <tuple>
+#include <type_traits>
 
 #include "icvbe/common/error.hpp"
 #include "icvbe/linalg/matrix.hpp"
 #include "icvbe/linalg/solve.hpp"
 #include "icvbe/linalg/sparse.hpp"
+#include "icvbe/spice/circuit.hpp"
+#include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
+#include "icvbe/spice/stamper.hpp"
 
 namespace icvbe::linalg {
 namespace {
@@ -493,6 +503,320 @@ TEST(SparseLuTest, ReanalyzesOnFrozenPivotGrowthBlowup) {
   EXPECT_NEAR(ax[0], 1.0, 1e-2);  // residual scale ~ max|A| * eps-ish
   EXPECT_NEAR(ax[1], 2.0, 1e-2);
   EXPECT_NEAR(ax[2], 3.0, 1e-2);
+}
+
+// ---------------------------------------------------------------------------
+// refactor() returns early when the values match its last successful call.
+// Every case runs for the real and the complex instantiation; the counters
+// tell a skip (numeric_refactor_count() unchanged) from a real pass.
+
+template <typename Scalar>
+class SparseRefactorSkipTest : public ::testing::Test {
+ protected:
+  using Matrix = SparseMatrixT<Scalar>;
+  using Lu = SparseLuFactorizationT<Scalar>;
+  using Vec = VectorT<Scalar>;
+
+  static Scalar value(double re, double im) {
+    if constexpr (std::is_same_v<Scalar, double>) {
+      (void)im;
+      return re;
+    } else {
+      return Scalar(re, im);
+    }
+  }
+
+  // A 5x5 conductance mesh plus one voltage-source branch: the aux row's
+  // diagonal is a structural +0.0 that the restamp never adds to.
+  SparseRefactorSkipTest() {
+    const std::size_t g = 5;
+    const std::size_t nodes = g * g;
+    std::mt19937 gen(5u);
+    std::uniform_real_distribution<double> dist(0.5, 2.0);
+    auto couple = [&](std::size_t a, std::size_t b) {
+      const Scalar y = value(dist(gen), 0.1 * dist(gen));
+      entries_.emplace_back(a, b, -y);
+      entries_.emplace_back(b, a, -y);
+      entries_.emplace_back(a, a, y);
+      entries_.emplace_back(b, b, y);
+    };
+    for (std::size_t x = 0; x < g; ++x) {
+      for (std::size_t y = 0; y < g; ++y) {
+        if (x + 1 < g) couple(x * g + y, (x + 1) * g + y);
+        if (y + 1 < g) couple(x * g + y, x * g + y + 1);
+      }
+    }
+    for (std::size_t i = 0; i < nodes; ++i) {
+      entries_.emplace_back(i, i, value(1e-3, 1e-4));
+    }
+    branch_entry_ = entries_.size();  // the branch column's only non-zero
+    entries_.emplace_back(0, nodes, value(1.0, 0.0));
+    entries_.emplace_back(nodes, 0, value(1.0, 0.0));
+    n_ = nodes + 1;
+    m_.resize(n_, n_);
+    for (const auto& [r, c, v] : entries_) m_.add(r, c, v);
+    m_.add(nodes, nodes, Scalar{});  // the structural zero
+    m_.freeze_pattern();
+    rhs_.assign(n_, Scalar{});
+    for (std::size_t i = 0; i < n_; ++i) rhs_[i] = value(1.0 + 0.1 * i, -0.5);
+  }
+
+  /// Restamp the entries onto `base` (every stored slot starts there),
+  /// leaving out entry `drop` if given.
+  void restamp(Scalar base = Scalar{}, std::size_t drop = kKeepAll) {
+    m_.fill(base);
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+      if (e == drop) continue;
+      const auto& [r, c, v] = entries_[e];
+      m_.add(r, c, v);
+    }
+  }
+
+  /// Solution of m_ x = rhs_ through `lu`'s current factors.
+  Vec solve_with(const Lu& lu) const {
+    Vec x = rhs_;
+    lu.solve_in_place(x);
+    return x;
+  }
+
+  /// Solution through a freshly constructed factorisation of m_ (same
+  /// options as `like`).
+  Vec fresh_solution(const Lu& like, double pivot_tol = 1e-14) const {
+    Lu fresh;
+    fresh.set_options(like.options());
+    fresh.refactor(m_, pivot_tol);
+    return solve_with(fresh);
+  }
+
+  static bool bit_equal(const Vec& a, const Vec& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Scalar)) == 0;
+  }
+
+  /// Move the value at CSR slot `slot` up by one ULP (real part).
+  void bump_slot_one_ulp(std::size_t slot) {
+    const std::vector<int>& row_ptr = m_.row_ptr();
+    const auto row = static_cast<std::size_t>(
+        std::upper_bound(row_ptr.begin(), row_ptr.end(),
+                         static_cast<int>(slot)) -
+        row_ptr.begin() - 1);
+    const auto col = static_cast<std::size_t>(m_.col_index()[slot]);
+    const double re = std::real(m_.values()[slot]);
+    const double up =
+        std::nextafter(re, std::numeric_limits<double>::infinity()) - re;
+    m_.add(row, col, value(up, 0.0));  // exact: adjacent doubles
+    ASSERT_EQ(std::real(m_.values()[slot]),
+              std::nextafter(re, std::numeric_limits<double>::infinity()));
+  }
+
+  static constexpr std::size_t kKeepAll = static_cast<std::size_t>(-1);
+  std::size_t n_ = 0;
+  std::size_t branch_entry_ = 0;
+  std::vector<std::tuple<std::size_t, std::size_t, Scalar>> entries_;
+  Matrix m_;
+  Vec rhs_;
+};
+
+using SkipScalars = ::testing::Types<double, Complex>;
+TYPED_TEST_SUITE(SparseRefactorSkipTest, SkipScalars);
+
+TYPED_TEST(SparseRefactorSkipTest, UnchangedValuesFactorOnce) {
+  typename TestFixture::Lu lu;
+  for (int pass = 0; pass < 6; ++pass) {
+    this->restamp();
+    lu.refactor(this->m_);
+  }
+  EXPECT_EQ(lu.numeric_refactor_count(), 1);
+  EXPECT_EQ(lu.analysis_count(), 1);
+  EXPECT_TRUE(this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+}
+
+TYPED_TEST(SparseRefactorSkipTest, OneUlpInAnySlotRefactors) {
+  const std::size_t nnz = this->m_.values().size();
+  for (const std::size_t slot : {std::size_t{0}, nnz / 2, nnz - 1}) {
+    SCOPED_TRACE("CSR slot " + std::to_string(slot));
+    typename TestFixture::Lu lu;
+    this->restamp();
+    lu.refactor(this->m_);
+    this->bump_slot_one_ulp(slot);
+    lu.refactor(this->m_);
+    EXPECT_EQ(lu.numeric_refactor_count(), 2);
+    EXPECT_EQ(lu.analysis_count(), 1);
+    EXPECT_TRUE(
+        this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+    lu.refactor(this->m_);  // and the changed values are skipped in turn
+    EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  }
+}
+
+TYPED_TEST(SparseRefactorSkipTest, SignOfZeroFlipRefactors) {
+  typename TestFixture::Lu lu;
+  this->restamp();
+  lu.refactor(this->m_);
+  const std::size_t zero_slot = this->m_.slot(this->n_ - 1, this->n_ - 1);
+  this->restamp(TypeParam(-0.0));  // -0.0 + v == v; the zero slot stays -0.0
+  ASSERT_TRUE(std::signbit(std::real(this->m_.values()[zero_slot])));
+  lu.refactor(this->m_);
+  EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  EXPECT_TRUE(this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+}
+
+TYPED_TEST(SparseRefactorSkipTest, PivotTolChangeRefactors) {
+  typename TestFixture::Lu lu;
+  this->restamp();
+  lu.refactor(this->m_);
+  lu.refactor(this->m_, 1e-13);
+  EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  lu.refactor(this->m_, 1e-13);
+  EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  EXPECT_TRUE(
+      this->bit_equal(this->solve_with(lu), this->fresh_solution(lu, 1e-13)));
+}
+
+TYPED_TEST(SparseRefactorSkipTest, InvalidateAnalysisRefactors) {
+  typename TestFixture::Lu lu;
+  this->restamp();
+  lu.refactor(this->m_);
+  lu.invalidate_analysis();
+  lu.refactor(this->m_);
+  EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  EXPECT_EQ(lu.analysis_count(), 2);
+  EXPECT_TRUE(this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+}
+
+TYPED_TEST(SparseRefactorSkipTest, OptionsChangeRefactors) {
+  typename TestFixture::Lu lu;
+  this->restamp();
+  lu.refactor(this->m_);
+  lu.set_options(lu.options());  // same value: the analysis stands
+  lu.refactor(this->m_);
+  EXPECT_EQ(lu.numeric_refactor_count(), 1);
+  SparseOptions opts = lu.options();
+  opts.btf = !opts.btf;
+  lu.set_options(opts);
+  lu.refactor(this->m_);
+  EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  EXPECT_EQ(lu.analysis_count(), 2);
+  EXPECT_TRUE(this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+}
+
+TYPED_TEST(SparseRefactorSkipTest, RefrozenPatternRefactors) {
+  typename TestFixture::Lu lu;
+  this->restamp();
+  lu.refactor(this->m_);
+  const std::uint64_t stamp = this->m_.pattern_stamp();
+  this->m_.unfreeze();
+  this->m_.freeze_pattern();
+  ASSERT_NE(this->m_.pattern_stamp(), stamp);
+  lu.refactor(this->m_);
+  EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  EXPECT_EQ(lu.analysis_count(), 2);
+  EXPECT_TRUE(this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+}
+
+TYPED_TEST(SparseRefactorSkipTest, SingularValuesThrowEveryTime) {
+  // A singular restamp after a good factorisation throws, and keeps
+  // throwing on the same values instead of returning the old factors.
+  typename TestFixture::Lu lu;
+  this->restamp();
+  lu.refactor(this->m_);
+  this->restamp(TypeParam{}, this->branch_entry_);  // branch column all zero
+  EXPECT_THROW(lu.refactor(this->m_), NumericalError);
+  EXPECT_THROW(lu.refactor(this->m_), NumericalError);
+  this->restamp();  // the good values factor again
+  lu.refactor(this->m_);
+  EXPECT_TRUE(this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+}
+
+TYPED_TEST(SparseRefactorSkipTest, NonFiniteValuesThrowEveryTime) {
+  typename TestFixture::Lu lu;
+  this->restamp();
+  lu.refactor(this->m_);
+  this->m_.add(0, 0, TestFixture::value(std::nan(""), 0.0));
+  EXPECT_THROW(lu.refactor(this->m_), NumericalError);
+  EXPECT_THROW(lu.refactor(this->m_), NumericalError);
+  EXPECT_EQ(lu.numeric_refactor_count(), 1);  // the screen stopped both
+  this->restamp();  // the good values factor again
+  lu.refactor(this->m_);
+  EXPECT_EQ(lu.numeric_refactor_count(), 2);
+  EXPECT_TRUE(this->bit_equal(this->solve_with(lu), this->fresh_solution(lu)));
+}
+
+// The counter on whole circuits, stamped the way a Newton iteration stamps
+// them: a linear grid's Jacobian does not depend on the iterate, so its
+// restamps factor once; a diode ladder's changes every iteration.
+struct StampedDeck {
+  explicit StampedDeck(spice::SyntheticTopology topology, int nodes) {
+    spice::SyntheticNetlistSpec spec;
+    spec.topology = topology;
+    spec.nodes = nodes;
+    circuit = std::move(spice::parse_netlist(spice::generate_netlist(spec))
+                            .circuit);
+    const auto n = static_cast<std::size_t>(circuit->assign_unknowns());
+    a.resize(n, n);
+    b.assign(n, 0.0);
+    x = spice::Unknowns(n);
+    stamp();
+    a.freeze_pattern();
+  }
+
+  /// fill(0) + one stamp pass of every device at the iterate x.
+  void stamp() {
+    if (a.frozen()) a.fill(0.0);
+    std::fill(b.begin(), b.end(), 0.0);
+    const int node_unknowns = circuit->node_count() - 1;
+    spice::Stamper st(a, b, node_unknowns);
+    for (const auto& dev : circuit->devices()) dev->stamp(st, x);
+    for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, 1e-12);
+  }
+
+  std::unique_ptr<spice::Circuit> circuit;
+  SparseMatrix a;
+  Vector b;
+  spice::Unknowns x;
+};
+
+TEST(SparseLuTest, LinearGridRestampsFactorOnce) {
+  StampedDeck deck(spice::SyntheticTopology::kGrid, 100);
+  SparseLuFactorization lu;
+  Vector first;
+  for (int round = 0; round < 15; ++round) {
+    deck.stamp();
+    lu.refactor(deck.a);
+    Vector sol = deck.b;
+    lu.solve_in_place(sol);
+    deck.x.raw() = sol;
+    if (round == 0) first = sol;
+    EXPECT_EQ(std::memcmp(sol.data(), first.data(),
+                          sol.size() * sizeof(double)),
+              0)
+        << "round " << round;
+  }
+  EXPECT_EQ(lu.numeric_refactor_count(), 1);
+  EXPECT_EQ(lu.analysis_count(), 1);
+}
+
+TEST(SparseLuTest, NonlinearLadderRefactorsEveryNewtonIteration) {
+  StampedDeck deck(spice::SyntheticTopology::kDiodeLadder, 40);
+  SparseLuFactorization lu;
+  int iterations = 0;
+  double step = 1.0;
+  while (step > 1e-9 && iterations < 100) {
+    deck.stamp();
+    lu.refactor(deck.a);
+    Vector next = deck.b;
+    lu.solve_in_place(next);
+    step = 0.0;
+    for (std::size_t i = 0; i < next.size(); ++i) {
+      step = std::max(step, std::abs(next[i] - deck.x.raw()[i]));
+    }
+    deck.x.raw() = next;
+    ++iterations;
+  }
+  ASSERT_LT(iterations, 100) << "Newton did not converge";
+  EXPECT_GT(iterations, 3);
+  EXPECT_EQ(lu.numeric_refactor_count(), iterations);
+  EXPECT_EQ(lu.analysis_count(), 1);
 }
 
 }  // namespace
