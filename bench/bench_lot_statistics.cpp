@@ -41,6 +41,9 @@ constexpr double kSolverSpeedupGate = 5.0;  // lot-solver throughput
 // shared CI runners -- the regression this guards is the batched path
 // degenerating to (or below) per-die cost, not the last 10%.
 constexpr double kCampaignSpeedupGate = 1.15;
+// Interleaved per-die/batched campaign pairs; the gate reads the median
+// of the per-pair speedups.
+constexpr int kCampaignPairs = 9;
 // SIMD value-plane kernel A/B: the same batched loop with the pack
 // kernel (set_batch_simd(true), the default) vs the scalar per-lane
 // reference kernel. In the scalar-fallback build (ICVBE_SIMD=OFF) both
@@ -422,11 +425,20 @@ SimdAbTimings time_simd_kernel_ab() {
 }
 
 struct CampaignTimings {
-  double per_die_ms = 0.0;
-  double batched_ms = 0.0;
+  double per_die_ms = 0.0;  ///< median over the pairs
+  double batched_ms = 0.0;  ///< median over the pairs
+  double speedup = 0.0;     ///< median of the per-pair speedups (gated)
+  double speedup_min = 0.0;
+  double speedup_max = 0.0;
+  int pairs = 0;
   bool summary_bit_identical = false;
   unsigned threads = 0;
 };
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
 /// Run the real 1000-die campaign through both paths (same sparse-forced
 /// engine, same thread pool) and bit-compare the LotSummary.
@@ -439,42 +451,55 @@ CampaignTimings time_campaign() {
 
   CampaignTimings out;
   out.threads = common::resolve_thread_count(0);
+  out.pairs = kCampaignPairs;
 
-  // Best of two runs per path: one 1000-die campaign is long enough to
-  // catch scheduler noise, and the faster run is the truer cost.
   cfg.lanes = 0;
   const lab::LotCampaign per_die(lot, cfg);
-  std::vector<lab::DieCharacterisation> dies_ref;
-  out.per_die_ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto t0 = Clock::now();
-    dies_ref = per_die.run();
-    out.per_die_ms = std::min(out.per_die_ms, ms_since(t0));
-  }
-
   cfg.lanes = kGateLanes;
   const lab::LotCampaign batched(lot, cfg);
-  std::vector<lab::DieCharacterisation> dies_batched;
-  out.batched_ms = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 2; ++rep) {
-    const auto t1 = Clock::now();
-    dies_batched = batched.run();
-    out.batched_ms = std::min(out.batched_ms, ms_since(t1));
-  }
 
-  const lab::LotSummary a = lab::LotCampaign::summarise(dies_ref);
-  const lab::LotSummary b = lab::LotCampaign::summarise(dies_batched);
   auto stat_eq = [](const lab::LotStatistic& x, const lab::LotStatistic& y) {
     return x.count == y.count && x.mean == y.mean && x.stddev == y.stddev &&
            x.min == y.min && x.max == y.max && x.q10 == y.q10 &&
            x.q50 == y.q50 && x.q90 == y.q90;
   };
-  out.summary_bit_identical =
-      a.dies_ok == b.dies_ok && a.dies_failed == b.dies_failed &&
-      stat_eq(a.eg_classical, b.eg_classical) &&
-      stat_eq(a.eg_meijer, b.eg_meijer) &&
-      stat_eq(a.xti_meijer, b.xti_meijer) &&
-      stat_eq(a.delta_t1, b.delta_t1) && stat_eq(a.delta_t3, b.delta_t3);
+  auto timed = [](const lab::LotCampaign& campaign, double& ms) {
+    const auto t0 = Clock::now();
+    auto dies = campaign.run();
+    ms = ms_since(t0);
+    return lab::LotCampaign::summarise(dies);
+  };
+
+  // Interleaved pairs, alternating which path runs first, so drift in the
+  // machine's load lands on both paths alike.
+  std::vector<double> per_die_ms, batched_ms, speedup;
+  out.summary_bit_identical = true;
+  for (int pair = 0; pair < kCampaignPairs; ++pair) {
+    double a_ms = 0.0, b_ms = 0.0;
+    lab::LotSummary a, b;
+    if (pair % 2 == 0) {
+      a = timed(per_die, a_ms);
+      b = timed(batched, b_ms);
+    } else {
+      b = timed(batched, b_ms);
+      a = timed(per_die, a_ms);
+    }
+    per_die_ms.push_back(a_ms);
+    batched_ms.push_back(b_ms);
+    speedup.push_back(b_ms > 0.0 ? a_ms / b_ms : 0.0);
+    out.summary_bit_identical =
+        out.summary_bit_identical && a.dies_ok == b.dies_ok &&
+        a.dies_failed == b.dies_failed &&
+        stat_eq(a.eg_classical, b.eg_classical) &&
+        stat_eq(a.eg_meijer, b.eg_meijer) &&
+        stat_eq(a.xti_meijer, b.xti_meijer) &&
+        stat_eq(a.delta_t1, b.delta_t1) && stat_eq(a.delta_t3, b.delta_t3);
+  }
+  out.per_die_ms = median_of(per_die_ms);
+  out.batched_ms = median_of(batched_ms);
+  out.speedup = median_of(speedup);
+  out.speedup_min = *std::min_element(speedup.begin(), speedup.end());
+  out.speedup_max = *std::max_element(speedup.begin(), speedup.end());
   return out;
 }
 
@@ -486,9 +511,6 @@ void write_gate_json(const SolverTimings& solver, bool solver_passed,
       solver.batched_ms > 0.0 ? solver.per_die_ms / solver.batched_ms : 0.0;
   const double simd_speedup =
       ab.pack_ms > 0.0 ? ab.scalar_ms / ab.pack_ms : 0.0;
-  const double campaign_speedup =
-      campaign.batched_ms > 0.0 ? campaign.per_die_ms / campaign.batched_ms
-                                : 0.0;
   std::ofstream os(path);
   os << "{\n"
      << "  \"bench\": \"bench_lot_statistics\",\n"
@@ -526,9 +548,13 @@ void write_gate_json(const SolverTimings& solver, bool solver_passed,
      << "    \"passed\": " << (simd_passed ? "true" : "false") << "\n"
      << "  },\n"
      << "  \"campaign\": {\n"
+     << "    \"pairs\": " << campaign.pairs << ",\n"
+     << "    \"threads\": " << campaign.threads << ",\n"
      << "    \"per_die_ms\": " << campaign.per_die_ms << ",\n"
      << "    \"batched_ms\": " << campaign.batched_ms << ",\n"
-     << "    \"speedup\": " << campaign_speedup << ",\n"
+     << "    \"speedup\": " << campaign.speedup << ",\n"
+     << "    \"speedup_min\": " << campaign.speedup_min << ",\n"
+     << "    \"speedup_max\": " << campaign.speedup_max << ",\n"
      << "    \"gate\": " << kCampaignSpeedupGate << ",\n"
      << "    \"passed\": " << (campaign_passed ? "true" : "false") << "\n"
      << "  },\n"
@@ -556,11 +582,8 @@ bool run_batched_gate() {
       ab.bit_identical && simd_speedup >= kSimdKernelGate;
 
   const CampaignTimings campaign = time_campaign();
-  const double campaign_speedup =
-      campaign.batched_ms > 0.0 ? campaign.per_die_ms / campaign.batched_ms
-                                : 0.0;
   const bool campaign_passed = campaign.summary_bit_identical &&
-                               campaign_speedup >= kCampaignSpeedupGate;
+                               campaign.speedup >= kCampaignSpeedupGate;
 
   Table t({"path", "baseline [ms]", "batched [ms]", "speedup", "gate"});
   t.add_row({"lot solver (1000 dies)", format_sig(solver.per_die_ms, 4),
@@ -572,7 +595,7 @@ bool run_batched_gate() {
              ">= " + format_sig(kSimdKernelGate, 2)});
   t.add_row({"campaign end-to-end", format_sig(campaign.per_die_ms, 4),
              format_sig(campaign.batched_ms, 4),
-             format_sig(campaign_speedup, 3),
+             format_sig(campaign.speedup, 3),
              ">= " + format_sig(kCampaignSpeedupGate, 2)});
   bench::emit(t, "lot_batched_gate.csv");
 
@@ -591,9 +614,11 @@ bool run_batched_gate() {
               ab.supernode, simd_speedup, kSimdKernelGate,
               ab.bit_identical ? "yes" : "NO",
               simd_passed ? "PASS" : "FAIL");
-  std::printf("campaign: %.2fx (gate >= %.2fx, %u threads), LotSummary "
+  std::printf("campaign: median %.2fx of %d interleaved pairs (range "
+              "%.2f-%.2fx; gate >= %.2fx, %u threads), LotSummary "
               "bit-identical: %s -- %s\n",
-              campaign_speedup, kCampaignSpeedupGate, campaign.threads,
+              campaign.speedup, campaign.pairs, campaign.speedup_min,
+              campaign.speedup_max, kCampaignSpeedupGate, campaign.threads,
               campaign.summary_bit_identical ? "yes" : "NO",
               campaign_passed ? "PASS" : "FAIL");
 

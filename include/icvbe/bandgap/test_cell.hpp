@@ -83,6 +83,13 @@ struct CellObservation {
   double power = 0.0;       ///< cell dissipation [W]
 };
 
+/// Read the observation off a solved cell: `x` is a DC solution of
+/// `circuit` at die temperature `t_die_kelvin`.
+[[nodiscard]] CellObservation observe_cell(const spice::Circuit& circuit,
+                                           const TestCellHandles& handles,
+                                           const spice::Unknowns& x,
+                                           double t_die_kelvin);
+
 /// Solve the cell at a fixed die temperature (no thermal feedback).
 [[nodiscard]] CellObservation solve_cell_at(spice::Circuit& circuit,
                                             const TestCellHandles& handles,

@@ -28,9 +28,10 @@ struct CampaignConfig {
   bandgap::TestCellParams cell;    ///< cell electricals (models overwritten
                                    ///< from the DieSample)
   /// Solver options for every measurement rig the laboratory builds. The
-  /// default (auto engine selection) keeps historical behaviour; lot runs
-  /// that use the batched lane path force sparse here so the per-die and
-  /// batched factorisations share one engine and stay bit-identical.
+  /// default (auto engine selection) keeps historical behaviour. The
+  /// batched lot path (LotCampaignConfig::lanes) needs the sparse engine
+  /// here: it runs the Laboratory's measurement steps on sparse batch
+  /// solves, and dense and sparse LU round differently.
   spice::NewtonOptions newton;
 };
 
@@ -52,6 +53,86 @@ struct CellPoint {
   double ic_qb = 0.0;      ///< branch current of QB [A] (measured)
   double vref = 0.0;       ///< reference output [V] (measured)
   double t_die_true = 0.0; ///< ground truth [K] -- validation only
+};
+
+/// The measurement procedure of one die: its sample, its campaign
+/// configuration and its instruments, with every step that turns a solved
+/// circuit into what the operator records. The Laboratory and the batched
+/// lot driver (LotCampaign::run_batched) both measure through it, so they
+/// record the same bits for the same die.
+class DieProcedure {
+ public:
+  /// Draws the die's instruments from `config.seed`.
+  DieProcedure(DieSample sample, CampaignConfig config);
+
+  [[nodiscard]] const DieSample& sample() const noexcept { return sample_; }
+  [[nodiscard]] const CampaignConfig& config() const noexcept {
+    return config_;
+  }
+
+  /// Build this die's classical-method rig into `circuit`: the single
+  /// device "DUT", diode-connected (VCB = 0), with current source "IE"
+  /// forcing its emitter current. Returns the emitter node.
+  spice::NodeId build_forced_current_dut(spice::Circuit& circuit) const;
+
+  /// This die's test-cell electricals with RADJA set to `radja_ohms`.
+  [[nodiscard]] bandgap::TestCellParams cell_params(double radja_ohms) const;
+
+  /// Die temperature for a chamber setting and chip power (the chamber
+  /// temperature itself under ideal_thermal).
+  [[nodiscard]] double die_temperature(double chamber_kelvin,
+                                       double power_watts) const;
+
+  /// The current the aux SMU forces when programmed to `setpoint_amps`.
+  [[nodiscard]] double force_current(double setpoint_amps);
+  /// The voltage the DUT SMU forces when programmed to `setpoint_volts`.
+  [[nodiscard]] double force_voltage(double setpoint_volts);
+  /// The aux SMU reading of a true current.
+  [[nodiscard]] double measure_current(double true_amps);
+  /// The aux SMU reading of a true VREF.
+  [[nodiscard]] double measure_vref(double true_volts);
+
+  /// One VBE(T) point of the single DUT solved at die temperature `t_die`.
+  [[nodiscard]] VbePoint record_vbe(double chamber_kelvin, double t_die,
+                                    double vbe_true, double ic_true);
+  /// One test-cell point from a cell solved at `obs.t_die`.
+  [[nodiscard]] CellPoint record_cell(double chamber_kelvin,
+                                      const bandgap::CellObservation& obs);
+
+ private:
+  [[nodiscard]] double sensor_reading(double chamber_kelvin);
+  [[nodiscard]] double volts(SmuChannel& channel, double true_volts);
+
+  DieSample sample_;
+  CampaignConfig config_;
+  DieInstruments instruments_;
+};
+
+/// The electro-thermal fixed point at one chamber setting: the die starts
+/// at its zero-power temperature, and each update with the chip power of a
+/// cell solved at t_die() moves it to the temperature that power sets. It
+/// settles once an update moves the die by less than kTolKelvin or after
+/// kMaxPasses updates. It refers to `die`, which must outlive it.
+class ThermalFixedPoint {
+ public:
+  static constexpr int kMaxPasses = 8;
+  static constexpr double kTolKelvin = 1e-4;
+
+  ThermalFixedPoint() = default;
+  ThermalFixedPoint(const DieProcedure& die, double chamber_kelvin);
+
+  [[nodiscard]] double t_die() const noexcept { return t_die_; }
+  [[nodiscard]] bool settled() const noexcept {
+    return converged_ || passes_ >= kMaxPasses;
+  }
+  void update(double power_watts);
+
+ private:
+  const DieProcedure* die_ = nullptr;
+  double chamber_kelvin_ = 0.0;
+  double t_die_ = 0.0;
+  int passes_ = 0;
+  bool converged_ = false;
 };
 
 /// A laboratory session bound to one die sample. Instruments are drawn at
@@ -81,20 +162,14 @@ class Laboratory {
   [[nodiscard]] Series vref_curve(const std::vector<double>& chamber_celsius,
                                   double radja_ohms = 0.0);
 
-  [[nodiscard]] const DieSample& sample() const noexcept { return sample_; }
+  [[nodiscard]] const DieSample& sample() const noexcept {
+    return die_.sample();
+  }
   [[nodiscard]] const CampaignConfig& config() const noexcept {
-    return config_;
+    return die_.config();
   }
 
  private:
-  /// Die temperature for a chamber setting and chip power.
-  [[nodiscard]] double die_temperature(double chamber_kelvin,
-                                       double power_watts) const;
-
-  /// Build a fresh test-cell circuit for this sample.
-  [[nodiscard]] bandgap::TestCellHandles build_cell(spice::Circuit& circuit,
-                                                    double radja_ohms) const;
-
   // Persistent measurement rigs. Each circuit is built once per laboratory
   // session and re-biased between measurements; the SimSession keeps the
   // solver workspace and warm-start continuation alive across the whole
@@ -118,12 +193,12 @@ class Laboratory {
   /// Current-driven diode-connected DUT (VBE(T); built on first use).
   [[nodiscard]] DutRig& ibias_rig();
 
-  DieSample sample_;
-  CampaignConfig config_;
-  Pt100Sensor sensor_;
-  SmuChannel smu_vbe_;   ///< channel on the DUT / pad P4
-  SmuChannel smu_pad_;   ///< channel on pad P5
-  SmuChannel smu_aux_;   ///< channel for VREF and currents
+  /// The settled die temperature of the cell at `chamber_kelvin` (the
+  /// electro-thermal fixed point, solved on `rig`).
+  [[nodiscard]] double settle_die_temperature(CellRig& rig,
+                                              double chamber_kelvin);
+
+  DieProcedure die_;
   std::unique_ptr<CellRig> cell_;
   std::unique_ptr<DutRig> vbias_;
   std::unique_ptr<DutRig> ibias_;

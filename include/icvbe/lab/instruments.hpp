@@ -7,6 +7,8 @@
 // reading -- matching how a real bench behaves within one calibration
 // cycle.
 
+#include <cstdint>
+
 #include "icvbe/common/rng.hpp"
 
 namespace icvbe::lab {
@@ -71,6 +73,18 @@ class SmuChannel {
   double v_offset_;
   double v_gain_;
   double i_gain_;
+};
+
+/// One die's bench: the pt100 and three SMU channels, each drawn from its
+/// own child stream of the die's seed (one calibration cycle per die).
+struct DieInstruments {
+  Pt100Sensor sensor;
+  SmuChannel smu_vbe;  ///< channel on the DUT / pad P4
+  SmuChannel smu_pad;  ///< channel on pad P5
+  SmuChannel smu_aux;  ///< channel for VREF and currents
+
+  DieInstruments(std::uint64_t seed, const Pt100Sensor::Spec& sensor_spec,
+                 const SmuChannel::Spec& smu_spec);
 };
 
 }  // namespace icvbe::lab

@@ -29,10 +29,11 @@ struct LotCampaignConfig {
   /// per rig and carrying all lanes through each LU refactor/solve
   /// together (BatchDcSession) instead of building fresh circuits and
   /// sessions per die. Requires lab.newton.sparse == kSparse (the batch
-  /// engine is sparse; forcing the per-die path onto the same engine is
-  /// what keeps the two paths bit-identical). 0 or 1 = classic per-die
-  /// path. Results are bit-identical for any lanes value and any thread
-  /// count (asserted by test_lot_batch and bench_lot_statistics).
+  /// engine is sparse, so the per-die path must solve on the same
+  /// engine). 0 or 1 = classic per-die path. Both paths measure and
+  /// extract through the same per-die steps, so results are bit-identical
+  /// for any lanes value and any thread count (asserted by test_lot_batch
+  /// and bench_lot_statistics).
   unsigned lanes = 0;
 
   /// Per-die instrument master seed is `seed_base + die index` (the same
@@ -110,14 +111,17 @@ class LotCampaign {
   /// With config().lanes > 1, dispatches to run_batched().
   [[nodiscard]] std::vector<DieCharacterisation> run() const;
 
-  /// The batched lot path: workers claim groups of `lanes` consecutive
-  /// dies and drive them through shared-analysis BatchDcSessions (one
-  /// ibias rig batch, one cell rig batch per worker), re-programming the
-  /// lane circuits per die instead of rebuilding them. Any lane that
-  /// leaves the lockstep (pivot rejection, non-convergence in plain
-  /// Newton, any measurement error) falls back to the per-die run_die()
-  /// for that die, so every result is bit-identical to run() with
-  /// lanes == 0 under the same (sparse-forced) solver options.
+  /// The batched lot path: workers claim groups of K consecutive dies
+  /// and drive them through shared-analysis BatchDcSessions (one ibias
+  /// rig batch, one cell rig batch per worker), re-programming the lane
+  /// circuits per die instead of rebuilding them. K is `lanes` clamped to
+  /// [1, samples]. Each die is measured by the Laboratory's own steps
+  /// (DieProcedure, ThermalFixedPoint) and extracted as run_die()
+  /// extracts it; only the solves are batched. Any lane that leaves the
+  /// lockstep (pivot rejection, non-convergence in plain Newton, any
+  /// measurement error) falls back to run_die() for that die, so every
+  /// result is bit-identical to run() with lanes == 0 under the same
+  /// (sparse-forced) solver options.
   /// \pre config().lab.newton.sparse == SparseMode::kSparse (throws
   ///      Error otherwise).
   [[nodiscard]] std::vector<DieCharacterisation> run_batched() const;
@@ -136,6 +140,20 @@ class LotCampaign {
   }
 
  private:
+  /// The lab configuration of the die at lot index `index`: the campaign's,
+  /// with the die's own instrument seed.
+  [[nodiscard]] CampaignConfig die_config(int index) const;
+
+  /// The extraction half of a die, shared by run_die() and run_batched():
+  /// the classical best fit of its VBE(T) points and Meijer's method on its
+  /// cell points. Each fills its fields of `out` and throws what the
+  /// extraction throws. run_die() fits each method as soon as it has
+  /// measured it, so the two steps stay separate.
+  void fit_classical(DieCharacterisation& out,
+                     const std::vector<VbePoint>& vbe) const;
+  void fit_meijer(DieCharacterisation& out,
+                  std::vector<CellPoint> cell) const;
+
   SiliconLot lot_;
   LotCampaignConfig config_;
 };

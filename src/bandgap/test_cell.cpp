@@ -95,8 +95,6 @@ spice::Unknowns cell_initial_guess(spice::Circuit& circuit,
   return guess;
 }
 
-namespace {
-
 CellObservation observe_cell(const spice::Circuit& circuit,
                              const TestCellHandles& handles,
                              const spice::Unknowns& x, double t_die_kelvin) {
@@ -113,8 +111,6 @@ CellObservation observe_cell(const spice::Circuit& circuit,
   obs.power = circuit.total_power(x);
   return obs;
 }
-
-}  // namespace
 
 CellObservation solve_cell_at(spice::Circuit& circuit,
                               const TestCellHandles& handles,

@@ -12,26 +12,117 @@
 
 namespace icvbe::lab {
 
-Laboratory::Laboratory(DieSample sample, CampaignConfig config)
+DieProcedure::DieProcedure(DieSample sample, CampaignConfig config)
     : sample_(std::move(sample)),
       config_(std::move(config)),
-      sensor_(Rng::child(config_.seed, 1), config_.sensor_spec),
-      smu_vbe_(Rng::child(config_.seed, 2), config_.smu_spec),
-      smu_pad_(Rng::child(config_.seed, 3), config_.smu_spec),
-      smu_aux_(Rng::child(config_.seed, 4), config_.smu_spec) {}
+      instruments_(config_.seed, config_.sensor_spec, config_.smu_spec) {}
 
-double Laboratory::die_temperature(double chamber_kelvin,
-                                   double power_watts) const {
+spice::NodeId DieProcedure::build_forced_current_dut(
+    spice::Circuit& circuit) const {
+  const spice::NodeId emitter = circuit.node("e");
+  circuit.add_isource("IE", spice::kGround, emitter, 1e-6);
+  circuit.add_bjt("DUT", spice::kGround, spice::kGround, emitter, sample_.qin,
+                  1.0, spice::kGround);
+  return emitter;
+}
+
+bandgap::TestCellParams DieProcedure::cell_params(double radja_ohms) const {
+  bandgap::TestCellParams p = config_.cell;
+  p.qa_model = sample_.qa;
+  p.qb_model = sample_.qb;
+  p.opamp_offset = sample_.opamp_offset;
+  p.radja = radja_ohms;
+  p.rx1 *= sample_.resistor_scale;
+  p.rx2 *= sample_.resistor_scale;
+  p.rb *= sample_.resistor_scale;
+  return p;
+}
+
+double DieProcedure::die_temperature(double chamber_kelvin,
+                                     double power_watts) const {
   if (config_.ideal_thermal) return chamber_kelvin;
   return sample_.fixture.die_temperature(chamber_kelvin, power_watts);
 }
+
+double DieProcedure::sensor_reading(double chamber_kelvin) {
+  return config_.ideal_instruments ? chamber_kelvin
+                                   : instruments_.sensor.read(chamber_kelvin);
+}
+
+double DieProcedure::volts(SmuChannel& channel, double true_volts) {
+  return config_.ideal_instruments ? true_volts
+                                   : channel.measure_voltage(true_volts);
+}
+
+double DieProcedure::force_current(double setpoint_amps) {
+  return config_.ideal_instruments
+             ? setpoint_amps
+             : instruments_.smu_aux.force_current(setpoint_amps);
+}
+
+double DieProcedure::force_voltage(double setpoint_volts) {
+  return config_.ideal_instruments
+             ? setpoint_volts
+             : instruments_.smu_vbe.force_voltage(setpoint_volts);
+}
+
+double DieProcedure::measure_current(double true_amps) {
+  return config_.ideal_instruments
+             ? true_amps
+             : instruments_.smu_aux.measure_current(true_amps);
+}
+
+double DieProcedure::measure_vref(double true_volts) {
+  return volts(instruments_.smu_aux, true_volts);
+}
+
+VbePoint DieProcedure::record_vbe(double chamber_kelvin, double t_die,
+                                  double vbe_true, double ic_true) {
+  VbePoint p;
+  p.t_die_true = t_die;
+  p.t_sensor = sensor_reading(chamber_kelvin);
+  p.vbe = volts(instruments_.smu_vbe, vbe_true);
+  p.ic = measure_current(ic_true);
+  return p;
+}
+
+CellPoint DieProcedure::record_cell(double chamber_kelvin,
+                                    const bandgap::CellObservation& obs) {
+  CellPoint p;
+  p.t_die_true = obs.t_die;
+  p.t_sensor = sensor_reading(chamber_kelvin);
+  p.vbe_qa = volts(instruments_.smu_vbe, obs.vbe_qa);
+  p.vbe_qb = volts(instruments_.smu_pad, obs.vbe_qb);
+  p.vref = measure_vref(obs.vref);
+  p.ic_qa = measure_current(obs.ic_qa);
+  p.ic_qb = measure_current(obs.ic_qb);
+  p.delta_vbe = p.vbe_qa - p.vbe_qb;
+  return p;
+}
+
+ThermalFixedPoint::ThermalFixedPoint(const DieProcedure& die,
+                                     double chamber_kelvin)
+    : die_(&die),
+      chamber_kelvin_(chamber_kelvin),
+      t_die_(die.die_temperature(chamber_kelvin, 0.0)) {}
+
+void ThermalFixedPoint::update(double power_watts) {
+  const double t_new = die_->die_temperature(chamber_kelvin_, power_watts);
+  converged_ = std::abs(t_new - t_die_) < kTolKelvin;
+  t_die_ = t_new;
+  ++passes_;
+}
+
+Laboratory::Laboratory(DieSample sample, CampaignConfig config)
+    : die_(std::move(sample), std::move(config)) {}
 
 Laboratory::CellRig& Laboratory::cell_rig(double radja_ohms) {
   constexpr double kMinTrim = 1e-6;  // matches the build_test_cell clamp
   if (!cell_) {
     cell_ = std::make_unique<CellRig>();
-    cell_->handles = build_cell(cell_->circuit, radja_ohms);
-    cell_->session.emplace(cell_->circuit, config_.newton);
+    cell_->handles = bandgap::build_test_cell(cell_->circuit,
+                                              die_.cell_params(radja_ohms));
+    cell_->session.emplace(cell_->circuit, die_.config().newton);
   } else {
     cell_->circuit.get<spice::Resistor>(cell_->handles.radja)
         .set_nominal_resistance(std::max(radja_ohms, kMinTrim));
@@ -46,8 +137,8 @@ Laboratory::DutRig& Laboratory::vbias_rig() {
     vbias_->emitter = c.node("e");
     c.add_vsource("VE", vbias_->emitter, spice::kGround, 0.6);
     c.add_bjt("DUT", spice::kGround, spice::kGround, vbias_->emitter,
-              sample_.qin, 1.0, spice::kGround);
-    vbias_->session.emplace(c, config_.newton);
+              die_.sample().qin, 1.0, spice::kGround);
+    vbias_->session.emplace(c, die_.config().newton);
   }
   return *vbias_;
 }
@@ -55,12 +146,8 @@ Laboratory::DutRig& Laboratory::vbias_rig() {
 Laboratory::DutRig& Laboratory::ibias_rig() {
   if (!ibias_) {
     ibias_ = std::make_unique<DutRig>();
-    spice::Circuit& c = ibias_->circuit;
-    ibias_->emitter = c.node("e");
-    c.add_isource("IE", spice::kGround, ibias_->emitter, 1e-6);
-    c.add_bjt("DUT", spice::kGround, spice::kGround, ibias_->emitter,
-              sample_.qin, 1.0, spice::kGround);
-    ibias_->session.emplace(c, config_.newton);
+    ibias_->emitter = die_.build_forced_current_dut(ibias_->circuit);
+    ibias_->session.emplace(ibias_->circuit, die_.config().newton);
   }
   return *ibias_;
 }
@@ -94,13 +181,10 @@ std::vector<Series> Laboratory::icvbe_family(
     // The DUT dissipates microwatts at the currents of interest, so the
     // die temperature is the fixture value at zero chip power (the rest of
     // the chip is unpowered during single-device characterisation).
-    const double t_die = die_temperature(to_kelvin(tc), 0.0);
-    rig.circuit.set_temperature(t_die);
+    rig.circuit.set_temperature(die_.die_temperature(to_kelvin(tc), 0.0));
 
     std::vector<double> forced = setpoints;
-    if (!config_.ideal_instruments) {
-      for (double& v : forced) v = smu_vbe_.force_voltage(v);
-    }
+    for (double& v : forced) v = die_.force_voltage(v);
     plan.axes = {spice::SweepAxis::vsource(
         "VE", spice::SweepGrid::list(std::move(forced)))};
 
@@ -114,10 +198,8 @@ std::vector<Series> Laboratory::icvbe_family(
     Series family("IC(VBE) at " + format_fixed(tc, 1) + " C");
     family.reserve(static_cast<std::size_t>(points));
     for (std::size_t i = 0; i < setpoints.size(); ++i) {
-      const double ic_true = std::abs(biased.value(0, i));
-      const double ic_meas = config_.ideal_instruments
-                                 ? ic_true
-                                 : smu_aux_.measure_current(ic_true);
+      const double ic_meas =
+          die_.measure_current(std::abs(biased.value(0, i)));
       // Record the *programmed* VBE on x (that is how a real analyser
       // reports a forced sweep) and the measured current on y.
       family.push_back(setpoints[i], std::max(ic_meas, 1e-16));
@@ -140,41 +222,29 @@ std::vector<VbePoint> Laboratory::vbe_vs_temperature(
   const auto& dut = rig.circuit.get<spice::Bjt>("DUT");
 
   for (double tc : chamber_celsius) {
-    const double t_die = die_temperature(to_kelvin(tc), 0.0);
-
-    const double forced = config_.ideal_instruments
-                              ? ic_amps
-                              : smu_aux_.force_current(ic_amps);
-    ie.set_current(forced);
+    const double chamber_k = to_kelvin(tc);
+    const double t_die = die_.die_temperature(chamber_k, 0.0);
+    ie.set_current(die_.force_current(ic_amps));
     rig.circuit.set_temperature(t_die);
     const spice::Unknowns& x = rig.session->solve_or_throw();
-
-    VbePoint p;
-    p.t_die_true = t_die;
-    p.t_sensor = config_.ideal_instruments ? to_kelvin(tc)
-                                           : sensor_.read(to_kelvin(tc));
-    const double vbe_true = x.node_voltage(rig.emitter);
-    p.vbe = config_.ideal_instruments ? vbe_true
-                                      : smu_vbe_.measure_voltage(vbe_true);
-    const double ic_true = std::abs(dut.currents(x).ic);
-    p.ic = config_.ideal_instruments ? ic_true
-                                     : smu_aux_.measure_current(ic_true);
-    out.push_back(p);
+    out.push_back(die_.record_vbe(chamber_k, t_die,
+                                  x.node_voltage(rig.emitter),
+                                  std::abs(dut.currents(x).ic)));
   }
   return out;
 }
 
-bandgap::TestCellHandles Laboratory::build_cell(spice::Circuit& circuit,
-                                                double radja_ohms) const {
-  bandgap::TestCellParams p = config_.cell;
-  p.qa_model = sample_.qa;
-  p.qb_model = sample_.qb;
-  p.opamp_offset = sample_.opamp_offset;
-  p.radja = radja_ohms;
-  p.rx1 *= sample_.resistor_scale;
-  p.rx2 *= sample_.resistor_scale;
-  p.rb *= sample_.resistor_scale;
-  return bandgap::build_test_cell(circuit, p);
+double Laboratory::settle_die_temperature(CellRig& rig,
+                                          double chamber_kelvin) {
+  // Electro-thermal: the cell's own power plus the chip's auxiliary
+  // circuitry heat the die above the fixture-leak-adjusted ambient.
+  ThermalFixedPoint thermal(die_, chamber_kelvin);
+  while (!thermal.settled()) {
+    thermal.update(
+        bandgap::solve_cell_at(*rig.session, rig.handles, thermal.t_die())
+            .power);
+  }
+  return thermal.t_die();
 }
 
 std::vector<CellPoint> Laboratory::test_cell_sweep(
@@ -187,44 +257,10 @@ std::vector<CellPoint> Laboratory::test_cell_sweep(
   CellRig& rig = cell_rig(radja_ohms);
 
   for (double tc : chamber_celsius) {
-    // Electro-thermal: the cell's own power plus the chip's auxiliary
-    // circuitry heat the die above the fixture-leak-adjusted ambient.
     const double chamber_k = to_kelvin(tc);
-    double t_die = die_temperature(chamber_k, 0.0);
-    bandgap::CellObservation obs{};
-    for (int pass = 0; pass < 8; ++pass) {
-      obs = bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
-      const double t_new =
-          config_.ideal_thermal
-              ? chamber_k
-              : die_temperature(chamber_k, obs.power);
-      if (std::abs(t_new - t_die) < 1e-4) {
-        t_die = t_new;
-        break;
-      }
-      t_die = t_new;
-    }
-    obs = bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
-
-    CellPoint p;
-    p.t_die_true = t_die;
-    p.t_sensor = config_.ideal_instruments ? chamber_k
-                                           : sensor_.read(chamber_k);
-    if (config_.ideal_instruments) {
-      p.vbe_qa = obs.vbe_qa;
-      p.vbe_qb = obs.vbe_qb;
-      p.vref = obs.vref;
-      p.ic_qa = obs.ic_qa;
-      p.ic_qb = obs.ic_qb;
-    } else {
-      p.vbe_qa = smu_vbe_.measure_voltage(obs.vbe_qa);
-      p.vbe_qb = smu_pad_.measure_voltage(obs.vbe_qb);
-      p.vref = smu_aux_.measure_voltage(obs.vref);
-      p.ic_qa = smu_aux_.measure_current(obs.ic_qa);
-      p.ic_qb = smu_aux_.measure_current(obs.ic_qb);
-    }
-    p.delta_vbe = p.vbe_qa - p.vbe_qb;
-    out.push_back(p);
+    const double t_die = settle_die_temperature(rig, chamber_k);
+    out.push_back(die_.record_cell(
+        chamber_k, bandgap::solve_cell_at(*rig.session, rig.handles, t_die)));
   }
   return out;
 }
@@ -245,21 +281,7 @@ Series Laboratory::vref_curve(const std::vector<double>& chamber_celsius,
   std::vector<double> die_temps;
   die_temps.reserve(chamber_celsius.size());
   for (double tc : chamber_celsius) {
-    const double chamber_k = to_kelvin(tc);
-    double t_die = die_temperature(chamber_k, 0.0);
-    for (int pass = 0; pass < 8; ++pass) {
-      const bandgap::CellObservation obs =
-          bandgap::solve_cell_at(*rig.session, rig.handles, t_die);
-      const double t_new = config_.ideal_thermal
-                               ? chamber_k
-                               : die_temperature(chamber_k, obs.power);
-      if (std::abs(t_new - t_die) < 1e-4) {
-        t_die = t_new;
-        break;
-      }
-      t_die = t_new;
-    }
-    die_temps.push_back(t_die);
+    die_temps.push_back(settle_die_temperature(rig, to_kelvin(tc)));
   }
 
   // ...the curve itself then is a declarative plan: sweep the resolved die
@@ -298,10 +320,7 @@ Series Laboratory::vref_curve(const std::vector<double>& chamber_celsius,
   Series s("VREF(T), RadjA=" + format_fixed(radja_ohms / 1e3, 2) + "k");
   s.reserve(chamber_celsius.size());
   for (std::size_t i = 0; i < chamber_celsius.size(); ++i) {
-    const double vref = config_.ideal_instruments
-                            ? vrefs[i]
-                            : smu_aux_.measure_voltage(vrefs[i]);
-    s.push_back(chamber_celsius[i], vref);
+    s.push_back(chamber_celsius[i], die_.measure_vref(vrefs[i]));
   }
   return s;
 }

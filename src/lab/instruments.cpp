@@ -47,4 +47,12 @@ double SmuChannel::force_current(double setpoint_amps) {
   return setpoint_amps * i_gain_;
 }
 
+DieInstruments::DieInstruments(std::uint64_t seed,
+                               const Pt100Sensor::Spec& sensor_spec,
+                               const SmuChannel::Spec& smu_spec)
+    : sensor(Rng::child(seed, 1), sensor_spec),
+      smu_vbe(Rng::child(seed, 2), smu_spec),
+      smu_pad(Rng::child(seed, 3), smu_spec),
+      smu_aux(Rng::child(seed, 4), smu_spec) {}
+
 }  // namespace icvbe::lab

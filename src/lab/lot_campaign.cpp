@@ -53,37 +53,48 @@ LotCampaign::LotCampaign(SiliconLot lot, LotCampaignConfig config)
   }
 }
 
+CampaignConfig LotCampaign::die_config(int index) const {
+  CampaignConfig cfg = config_.lab;
+  cfg.seed = config_.seed_base + static_cast<std::uint64_t>(index);
+  return cfg;
+}
+
+void LotCampaign::fit_classical(DieCharacterisation& out,
+                                const std::vector<VbePoint>& vbe) const {
+  extract::BestFitOptions opt;
+  opt.t0 = to_kelvin(25.0);
+  out.eg_classical =
+      extract::best_fit_eg_xti(extract::samples_from_lab(vbe), opt).eg;
+  out.has_classical = true;
+}
+
+void LotCampaign::fit_meijer(DieCharacterisation& out,
+                             std::vector<CellPoint> cell) const {
+  out.cell = std::move(cell);
+  const auto m = extract::meijer_from_cell(
+      out.cell, config_.cell_celsius[0], config_.cell_celsius[1],
+      config_.cell_celsius[2]);
+  out.eg_meijer = m.with_computed_t.eg;
+  out.xti_meijer = m.with_computed_t.xti;
+  out.eg_measured_t = m.with_measured_t.eg;
+  out.xti_measured_t = m.with_measured_t.xti;
+  const auto cmp = extract::compare_temperatures(m);
+  out.delta_t1 = cmp.delta_t1();
+  out.delta_t3 = cmp.delta_t3();
+  out.has_meijer = true;
+}
+
 DieCharacterisation LotCampaign::run_die(int die_offset) const {
   DieCharacterisation out;
   out.index = config_.first_index + die_offset;
   try {
-    CampaignConfig cfg = config_.lab;
-    cfg.seed = config_.seed_base + static_cast<std::uint64_t>(out.index);
-    Laboratory laboratory(lot_.sample(out.index), cfg);
-
+    Laboratory laboratory(lot_.sample(out.index), die_config(out.index));
     if (config_.run_classical) {
-      const auto pts = laboratory.vbe_vs_temperature(
-          config_.classical_ic, config_.classical_celsius);
-      extract::BestFitOptions opt;
-      opt.t0 = to_kelvin(25.0);
-      out.eg_classical =
-          extract::best_fit_eg_xti(extract::samples_from_lab(pts), opt).eg;
-      out.has_classical = true;
+      fit_classical(out, laboratory.vbe_vs_temperature(
+                             config_.classical_ic, config_.classical_celsius));
     }
-
     if (config_.run_meijer) {
-      out.cell = laboratory.test_cell_sweep(config_.cell_celsius);
-      const auto m = extract::meijer_from_cell(
-          out.cell, config_.cell_celsius[0], config_.cell_celsius[1],
-          config_.cell_celsius[2]);
-      out.eg_meijer = m.with_computed_t.eg;
-      out.xti_meijer = m.with_computed_t.xti;
-      out.eg_measured_t = m.with_measured_t.eg;
-      out.xti_measured_t = m.with_measured_t.xti;
-      const auto cmp = extract::compare_temperatures(m);
-      out.delta_t1 = cmp.delta_t1();
-      out.delta_t3 = cmp.delta_t3();
-      out.has_meijer = true;
+      fit_meijer(out, laboratory.test_cell_sweep(config_.cell_celsius));
     }
     out.ok = true;
   } catch (const std::exception& e) {

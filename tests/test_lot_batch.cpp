@@ -467,11 +467,14 @@ void expect_die_bit_identical(const lab::DieCharacterisation& a,
   EXPECT_EQ(a.delta_t3, b.delta_t3);
   ASSERT_EQ(a.cell.size(), b.cell.size());
   for (std::size_t i = 0; i < a.cell.size(); ++i) {
-    EXPECT_EQ(a.cell[i].vref, b.cell[i].vref);
-    EXPECT_EQ(a.cell[i].delta_vbe, b.cell[i].delta_vbe);
     EXPECT_EQ(a.cell[i].t_sensor, b.cell[i].t_sensor);
+    EXPECT_EQ(a.cell[i].vbe_qa, b.cell[i].vbe_qa);
+    EXPECT_EQ(a.cell[i].vbe_qb, b.cell[i].vbe_qb);
+    EXPECT_EQ(a.cell[i].delta_vbe, b.cell[i].delta_vbe);
     EXPECT_EQ(a.cell[i].ic_qa, b.cell[i].ic_qa);
     EXPECT_EQ(a.cell[i].ic_qb, b.cell[i].ic_qb);
+    EXPECT_EQ(a.cell[i].vref, b.cell[i].vref);
+    EXPECT_EQ(a.cell[i].t_die_true, b.cell[i].t_die_true);
   }
 }
 
@@ -488,40 +491,59 @@ void expect_stat_bit_identical(const lab::LotStatistic& a,
 }
 
 TEST(LotBatchTest, BatchedBitIdenticalToPerDieForAnyLanesAndThreads) {
-  lab::LotCampaignConfig ref_cfg = lot_config();
-  ref_cfg.threads = 1;
-  ref_cfg.lanes = 0;  // the classic per-die path
-  const auto ref = lab::LotCampaign(lab::SiliconLot{}, ref_cfg).run();
-  const lab::LotSummary ref_sum = lab::LotCampaign::summarise(ref);
-  ASSERT_EQ(ref.size(), 10u);
-  for (const auto& die : ref) ASSERT_TRUE(die.ok) << die.error;
+  // The nominal bench, plus each flag the shared measurement steps branch
+  // on.
+  struct Flags {
+    const char* name;
+    bool ideal_instruments;
+    bool ideal_thermal;
+  };
+  const Flags flag_sets[] = {{"nominal", false, false},
+                             {"ideal_instruments", true, false},
+                             {"ideal_thermal", false, true}};
+  for (const Flags& flags : flag_sets) {
+    SCOPED_TRACE(flags.name);
+    lab::LotCampaignConfig base = lot_config();
+    base.lab.ideal_instruments = flags.ideal_instruments;
+    base.lab.ideal_thermal = flags.ideal_thermal;
 
-  const unsigned lane_counts[] = {1, 4, 32};
-  const unsigned thread_counts[] = {1, 3};
-  for (unsigned lanes : lane_counts) {
-    for (unsigned threads : thread_counts) {
-      lab::LotCampaignConfig cfg = lot_config();
-      cfg.threads = threads;
-      cfg.lanes = lanes;
-      const lab::LotCampaign campaign(lab::SiliconLot{}, cfg);
-      // lanes == 1 exercises the batched machinery at K = 1 directly
-      // (run() would route it to the classic path).
-      const auto got = lanes > 1 ? campaign.run() : campaign.run_batched();
-      ASSERT_EQ(got.size(), ref.size());
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        SCOPED_TRACE(::testing::Message()
-                     << "lanes=" << lanes << " threads=" << threads
-                     << " die=" << i);
-        expect_die_bit_identical(ref[i], got[i]);
+    lab::LotCampaignConfig ref_cfg = base;
+    ref_cfg.threads = 1;
+    ref_cfg.lanes = 0;  // the classic per-die path
+    const auto ref = lab::LotCampaign(lab::SiliconLot{}, ref_cfg).run();
+    const lab::LotSummary ref_sum = lab::LotCampaign::summarise(ref);
+    ASSERT_EQ(ref.size(), 10u);
+    for (const auto& die : ref) ASSERT_TRUE(die.ok) << die.error;
+
+    // 0 and 64 sit outside [1, samples]: the batched driver clamps them to
+    // one lane and to one group of all 10 dies.
+    const unsigned lane_counts[] = {0, 1, 4, 32, 64};
+    const unsigned thread_counts[] = {1, 3};
+    for (unsigned lanes : lane_counts) {
+      for (unsigned threads : thread_counts) {
+        lab::LotCampaignConfig cfg = base;
+        cfg.threads = threads;
+        cfg.lanes = lanes;
+        const lab::LotCampaign campaign(lab::SiliconLot{}, cfg);
+        // lanes <= 1 exercises the batched machinery at K = 1 directly
+        // (run() would route it to the classic path).
+        const auto got = lanes > 1 ? campaign.run() : campaign.run_batched();
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          SCOPED_TRACE(::testing::Message()
+                       << "lanes=" << lanes << " threads=" << threads
+                       << " die=" << i);
+          expect_die_bit_identical(ref[i], got[i]);
+        }
+        const lab::LotSummary got_sum = lab::LotCampaign::summarise(got);
+        EXPECT_EQ(got_sum.dies_ok, ref_sum.dies_ok);
+        EXPECT_EQ(got_sum.dies_failed, ref_sum.dies_failed);
+        expect_stat_bit_identical(ref_sum.eg_classical, got_sum.eg_classical);
+        expect_stat_bit_identical(ref_sum.eg_meijer, got_sum.eg_meijer);
+        expect_stat_bit_identical(ref_sum.xti_meijer, got_sum.xti_meijer);
+        expect_stat_bit_identical(ref_sum.delta_t1, got_sum.delta_t1);
+        expect_stat_bit_identical(ref_sum.delta_t3, got_sum.delta_t3);
       }
-      const lab::LotSummary got_sum = lab::LotCampaign::summarise(got);
-      EXPECT_EQ(got_sum.dies_ok, ref_sum.dies_ok);
-      EXPECT_EQ(got_sum.dies_failed, ref_sum.dies_failed);
-      expect_stat_bit_identical(ref_sum.eg_classical, got_sum.eg_classical);
-      expect_stat_bit_identical(ref_sum.eg_meijer, got_sum.eg_meijer);
-      expect_stat_bit_identical(ref_sum.xti_meijer, got_sum.xti_meijer);
-      expect_stat_bit_identical(ref_sum.delta_t1, got_sum.delta_t1);
-      expect_stat_bit_identical(ref_sum.delta_t3, got_sum.delta_t3);
     }
   }
 }
