@@ -82,7 +82,9 @@ class SparseMatrixT {
   }
 
   /// Compile the recorded coordinates into CSR (sorted columns per row,
-  /// duplicates merged by summation). No-op if already frozen.
+  /// duplicates merged by summation in registration order). A stable
+  /// bucket sort: O(registrations + rows) plus short per-row sorts. No-op
+  /// if already frozen.
   void freeze_pattern();
 
   /// Thaw back to the building phase, keeping the current entries as

@@ -2,7 +2,6 @@
 // Circuit: owns devices and the node table; assigns unknown indices.
 
 #include <cmath>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -15,6 +14,7 @@
 #include "icvbe/spice/dynamic_devices.hpp"
 #include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/mosfet.hpp"
+#include "icvbe/spice/name_index.hpp"
 
 namespace icvbe::spice {
 
@@ -127,15 +127,15 @@ class Circuit {
   template <typename T, typename... Args>
   T& emplace(Args&&... args);
 
-  void require_unique_name(const std::string& name) const;
+  [[nodiscard]] NameIndex::Probe probe_node(std::string_view name) const;
+  [[nodiscard]] NameIndex::Probe probe_device(std::string_view name) const;
 
   std::vector<std::unique_ptr<Device>> devices_;
-  std::map<std::string, std::size_t, std::less<>> device_index_;
+  NameIndex device_index_;  ///< device name -> index into devices_
   double temperature_ = 0.0;
   bool has_temperature_ = false;
   std::vector<std::string> node_names_{"0"};
-  std::map<std::string, NodeId, std::less<>> node_ids_{{"0", kGround},
-                                                       {"gnd", kGround}};
+  NameIndex node_index_;  ///< non-ground node name -> NodeId
 };
 
 }  // namespace icvbe::spice

@@ -21,6 +21,38 @@ namespace {
 /// stamp value identifies one frozen CSR no matter which engine holds it.
 std::atomic<std::uint64_t> g_next_pattern_stamp{1};
 
+/// Stable sort of one CSR row's (column, value) pairs by column. MNA rows
+/// are short, so insertion sort; a long row (a node many devices touch)
+/// goes through std::stable_sort instead of paying the quadratic shifts.
+template <typename Scalar>
+void stable_sort_row(int* cols, Scalar* vals, std::size_t k) {
+  constexpr std::size_t kInsertionMax = 32;
+  if (k <= kInsertionMax) {
+    for (std::size_t i = 1; i < k; ++i) {
+      const int c = cols[i];
+      const Scalar v = vals[i];
+      std::size_t j = i;
+      for (; j > 0 && cols[j - 1] > c; --j) {
+        cols[j] = cols[j - 1];
+        vals[j] = vals[j - 1];
+      }
+      cols[j] = c;
+      vals[j] = v;
+    }
+    return;
+  }
+  std::vector<std::pair<int, Scalar>> row(k);
+  for (std::size_t i = 0; i < k; ++i) row[i] = {cols[i], vals[i]};
+  std::stable_sort(row.begin(), row.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (std::size_t i = 0; i < k; ++i) {
+    cols[i] = row[i].first;
+    vals[i] = row[i].second;
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------ SparseMatrixT ---
@@ -61,37 +93,50 @@ template <typename Scalar>
 void SparseMatrixT<Scalar>::freeze_pattern() {
   if (frozen_) return;
 
-  // Sort the registrations (row, col) and merge duplicates by summation.
-  std::vector<std::size_t> order(coo_coords_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [this](std::size_t a, std::size_t b) {
-              return coo_coords_[a] < coo_coords_[b];
-            });
-
+  // Stable bucket sort of the registrations: a counting pass by row drops
+  // each (col, value) into its row's bucket in registration order, then a
+  // stable per-row sort by column puts repeated registrations of one slot
+  // next to each other, still in registration order, so merging sums them
+  // in that order.
+  const std::size_t n = coo_coords_.size();
   row_ptr_.assign(rows_ + 1, 0);
-  col_index_.clear();
-  values_.clear();
-  col_index_.reserve(order.size());
-  values_.reserve(order.size());
-  int last_r = -1;
-  int last_c = -1;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const auto [r, c] = coo_coords_[order[i]];
-    const Scalar v = coo_values_[order[i]];
-    if (r == last_r && c == last_c) {
-      values_.back() += v;  // repeated registration of the same slot
-      continue;
+  for (const auto& rc : coo_coords_) {
+    ++row_ptr_[static_cast<std::size_t>(rc.first) + 1];
+  }
+  for (std::size_t r = 0; r < rows_; ++r) row_ptr_[r + 1] += row_ptr_[r];
+  std::vector<int> next(row_ptr_.begin(), row_ptr_.end() - 1);
+  col_index_.resize(n);
+  values_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [r, c] = coo_coords_[i];
+    int& cursor = next[static_cast<std::size_t>(r)];
+    const auto at = static_cast<std::size_t>(cursor++);
+    col_index_[at] = c;
+    values_[at] = coo_values_[i];
+  }
+
+  // Sort each row by column, then merge duplicates, compacting in place.
+  std::size_t out = 0;
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const auto begin = static_cast<std::size_t>(row_ptr_[r]);
+    const auto end = static_cast<std::size_t>(row_ptr_[r + 1]);
+    stable_sort_row(col_index_.data() + begin, values_.data() + begin,
+                    end - begin);
+    row_ptr_[r] = static_cast<int>(out);
+    for (std::size_t i = begin; i < end; ++i) {
+      if (out > static_cast<std::size_t>(row_ptr_[r]) &&
+          col_index_[out - 1] == col_index_[i]) {
+        values_[out - 1] += values_[i];  // repeated registration of a slot
+        continue;
+      }
+      col_index_[out] = col_index_[i];
+      values_[out] = values_[i];
+      ++out;
     }
-    col_index_.push_back(c);
-    values_.push_back(v);
-    ++row_ptr_[static_cast<std::size_t>(r) + 1];  // per-row count for now
-    last_r = r;
-    last_c = c;
   }
-  for (std::size_t r = 0; r < rows_; ++r) {  // counts -> offsets
-    row_ptr_[r + 1] += row_ptr_[r];
-  }
+  row_ptr_[rows_] = static_cast<int>(out);
+  col_index_.resize(out);
+  values_.resize(out);
 
   coo_coords_.clear();
   coo_coords_.shrink_to_fit();

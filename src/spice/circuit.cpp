@@ -4,12 +4,21 @@
 
 namespace icvbe::spice {
 
+namespace {
+
+bool is_ground_alias(std::string_view name) noexcept {
+  return name == "0" || name == "gnd";
+}
+
+}  // namespace
+
 NodeId Circuit::node(std::string_view name) {
-  auto it = node_ids_.find(name);
-  if (it != node_ids_.end()) return it->second;
-  const NodeId id = static_cast<NodeId>(node_names_.size());
+  if (is_ground_alias(name)) return kGround;
+  const NameIndex::Probe p = probe_node(name);
+  if (p.id != NameIndex::kAbsent) return p.id;
+  const auto id = static_cast<NodeId>(node_names_.size());
   node_names_.emplace_back(name);
-  node_ids_.emplace(std::string(name), id);
+  node_index_.claim(p, id);
   return id;
 }
 
@@ -19,14 +28,14 @@ const std::string& Circuit::node_name(NodeId n) const {
 }
 
 NodeId Circuit::find_node(std::string_view name) const {
-  auto it = node_ids_.find(name);
-  return it == node_ids_.end() ? NodeId{-1} : it->second;
+  if (is_ground_alias(name)) return kGround;
+  return probe_node(name).id;
 }
 
 Circuit Circuit::clone() const {
   Circuit copy;
   copy.node_names_ = node_names_;
-  copy.node_ids_ = node_ids_;
+  copy.node_index_ = node_index_;
   copy.device_index_ = device_index_;
   copy.temperature_ = temperature_;
   copy.has_temperature_ = has_temperature_;
@@ -35,19 +44,28 @@ Circuit Circuit::clone() const {
   return copy;
 }
 
-void Circuit::require_unique_name(const std::string& name) const {
-  if (device_index_.contains(name)) {
-    throw CircuitError("duplicate device name '" + name + "'");
-  }
+NameIndex::Probe Circuit::probe_node(std::string_view name) const {
+  return node_index_.probe(name, [this](int id) -> const std::string& {
+    return node_names_[static_cast<std::size_t>(id)];
+  });
+}
+
+NameIndex::Probe Circuit::probe_device(std::string_view name) const {
+  return device_index_.probe(name, [this](int id) -> const std::string& {
+    return devices_[static_cast<std::size_t>(id)]->name();
+  });
 }
 
 template <typename T, typename... Args>
 T& Circuit::emplace(Args&&... args) {
   auto dev = std::make_unique<T>(std::forward<Args>(args)...);
-  require_unique_name(dev->name());
+  const NameIndex::Probe p = probe_device(dev->name());
+  if (p.id != NameIndex::kAbsent) {
+    throw CircuitError("duplicate device name '" + dev->name() + "'");
+  }
   T& ref = *dev;
-  device_index_.emplace(dev->name(), devices_.size());
   devices_.push_back(std::move(dev));
+  device_index_.claim(p, static_cast<int>(devices_.size() - 1));
   return ref;
 }
 
@@ -106,13 +124,15 @@ Inductor& Circuit::add_inductor(std::string name, NodeId p, NodeId m,
 }
 
 Device* Circuit::find(std::string_view name) {
-  auto it = device_index_.find(name);
-  return it == device_index_.end() ? nullptr : devices_[it->second].get();
+  const int id = probe_device(name).id;
+  if (id == NameIndex::kAbsent) return nullptr;
+  return devices_[static_cast<std::size_t>(id)].get();
 }
 
 const Device* Circuit::find(std::string_view name) const {
-  auto it = device_index_.find(name);
-  return it == device_index_.end() ? nullptr : devices_[it->second].get();
+  const int id = probe_device(name).id;
+  if (id == NameIndex::kAbsent) return nullptr;
+  return devices_[static_cast<std::size_t>(id)].get();
 }
 
 int Circuit::assign_unknowns() {

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <istream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -16,6 +17,13 @@ namespace icvbe::spice {
 
 namespace {
 
+// The parser walks the deck buffer once. A logical line is a view into the
+// deck, or into one join buffer reused for '+' continuations; its tokens
+// are views into that line. Both stay valid for one logical line only:
+// whatever outlives the line (device and node names, model names, sweep
+// targets) is copied into a std::string where it is stored.
+using Tokens = std::span<const std::string_view>;
+
 std::string to_upper(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(),
@@ -23,93 +31,146 @@ std::string to_upper(std::string_view s) {
   return out;
 }
 
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  return out;
+/// Case-insensitive match of `s` against an upper-case keyword.
+bool iequals(std::string_view s, std::string_view upper) noexcept {
+  if (s.size() != upper.size()) return false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (std::toupper(static_cast<unsigned char>(s[i])) != upper[i]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 [[noreturn]] void fail(int line, const std::string& msg) {
   throw NetlistError("netlist line " + std::to_string(line) + ": " + msg);
 }
 
+/// Physical lines -> logical lines ('+' continuation), stripped of
+/// comments: a leading '*' kills a line, ';' kills its tail.
+class LogicalLines {
+ public:
+  explicit LogicalLines(std::string_view text) : text_(text) {}
+
+  /// Next logical line and its first physical line number; false at the
+  /// end of the deck. The view lives until the next call.
+  bool next(std::string_view& line, int& lineno) {
+    std::string_view head;
+    if (have_ahead_) {
+      head = ahead_;
+      lineno = ahead_line_;
+      have_ahead_ = false;
+    } else if (!next_content(head, lineno)) {
+      return false;
+    }
+    if (head.front() == '+') {
+      fail(lineno, "continuation with no previous line");
+    }
+    bool joined = false;
+    while (next_content(ahead_, ahead_line_)) {
+      if (ahead_.front() != '+') {
+        have_ahead_ = true;
+        break;
+      }
+      if (!joined) {
+        join_.assign(head);
+        joined = true;
+      }
+      join_ += ' ';
+      join_.append(ahead_.substr(1));
+    }
+    line = joined ? std::string_view(join_) : head;
+    return true;
+  }
+
+ private:
+  /// Next physical line that is not blank or a comment, from its first
+  /// non-blank character up to any ';'.
+  bool next_content(std::string_view& content, int& lineno) {
+    while (pos_ < text_.size()) {
+      const std::size_t eol = text_.find('\n', pos_);
+      const std::size_t end =
+          eol == std::string_view::npos ? text_.size() : eol;
+      std::string_view raw = text_.substr(pos_, end - pos_);
+      pos_ = end + 1;
+      ++lineno_;
+      raw = raw.substr(0, raw.find(';'));
+      const std::size_t first = raw.find_first_not_of(" \t\r");
+      if (first == std::string_view::npos || raw[first] == '*') continue;
+      content = raw.substr(first);
+      lineno = lineno_;
+      return true;
+    }
+    return false;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int lineno_ = 0;
+  bool have_ahead_ = false;  ///< ahead_ holds the next logical line's head
+  std::string_view ahead_;
+  int ahead_line_ = 0;
+  std::string join_;
+};
+
 /// Split a logical line into whitespace-separated tokens; '(' ')' ',' '='
 /// become separators but '=' is preserved as its own token so parameter
-/// assignments keep their structure.
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  auto flush = [&] {
-    if (!cur.empty()) {
-      tokens.push_back(cur);
-      cur.clear();
+/// assignments keep their structure. Reuses `tokens`' storage.
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  std::size_t start = std::string_view::npos;
+  const auto flush = [&](std::size_t end) {
+    if (start != std::string_view::npos) {
+      tokens.push_back(line.substr(start, end - start));
+      start = std::string_view::npos;
     }
   };
-  for (char c : line) {
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
     if (std::isspace(static_cast<unsigned char>(c)) || c == '(' || c == ')' ||
         c == ',') {
-      flush();
+      flush(i);
     } else if (c == '=') {
-      flush();
-      tokens.emplace_back("=");
-    } else {
-      cur.push_back(c);
+      flush(i);
+      tokens.push_back(line.substr(i, 1));
+    } else if (start == std::string_view::npos) {
+      start = i;
     }
   }
-  flush();
-  return tokens;
+  flush(line.size());
+}
+
+/// Next whitespace-separated word of `line` at or after `pos` (empty at
+/// the end); `pos` moves past it.
+std::string_view next_word(std::string_view line, std::size_t& pos) {
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  while (pos < line.size() && is_space(line[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < line.size() && !is_space(line[pos])) ++pos;
+  return line.substr(start, pos - start);
 }
 
 /// Parameter assignments "KEY = value" from a token stream starting at i.
-std::map<std::string, double> parse_params(
-    const std::vector<std::string>& tokens, std::size_t i, int line) {
+std::map<std::string, double> parse_params(Tokens tokens, std::size_t i,
+                                           int line) {
   std::map<std::string, double> params;
   while (i < tokens.size()) {
-    const std::string key = to_upper(tokens[i]);
-    if (i + 2 >= tokens.size() + 1 || i + 1 >= tokens.size() ||
-        tokens[i + 1] != "=") {
-      fail(line, "expected KEY=value, got '" + tokens[i] + "'");
+    std::string key = to_upper(tokens[i]);
+    if (i + 1 >= tokens.size() || tokens[i + 1] != "=") {
+      fail(line, "expected KEY=value, got '" + std::string(tokens[i]) + "'");
     }
     if (i + 2 >= tokens.size()) fail(line, "missing value for " + key);
-    params[key] = parse_spice_number(tokens[i + 2]);
+    params[std::move(key)] = parse_spice_number(tokens[i + 2]);
     i += 3;
   }
   return params;
 }
-
 double param_or(const std::map<std::string, double>& p, const std::string& k,
                 double fallback) {
   auto it = p.find(k);
   return it == p.end() ? fallback : it->second;
-}
-
-/// Physical lines -> logical lines ('+' continuation), stripped of
-/// comments; returns (text, first physical line number) pairs.
-std::vector<std::pair<std::string, int>> logical_lines(std::string_view text) {
-  std::vector<std::pair<std::string, int>> out;
-  std::istringstream in{std::string(text)};
-  std::string raw;
-  int lineno = 0;
-  while (std::getline(in, raw)) {
-    ++lineno;
-    // Strip comments: leading '*' kills the line; ';' kills the tail.
-    std::string s = raw;
-    if (auto pos = s.find(';'); pos != std::string::npos) s.erase(pos);
-    auto first = s.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (s[first] == '*') continue;
-    if (s[first] == '+') {
-      if (out.empty()) {
-        throw NetlistError("netlist line " + std::to_string(lineno) +
-                           ": continuation with no previous line");
-      }
-      out.back().first += ' ' + s.substr(first + 1);
-    } else {
-      out.emplace_back(s.substr(first), lineno);
-    }
-  }
-  return out;
 }
 
 BjtModel parse_bjt_model(const std::map<std::string, double>& p,
@@ -172,6 +233,12 @@ std::vector<double> stepped_values(double start, double stop, double incr,
   if (incr == 0.0 || (stop - start) * incr < 0.0) {
     fail(line, "sweep increment must step from start towards stop");
   }
+  // A NaN or infinite bound never meets the stop test below, and a tiny
+  // increment (a mistyped scale suffix) asks for gigabytes of points.
+  constexpr double kMaxSteps = 1e7;
+  if (!((stop - start) / incr <= kMaxSteps)) {
+    fail(line, "sweep needs finite values and at most 10000001 points");
+  }
   const double eps = 1e-9 * std::abs(incr);
   std::vector<double> values;
   values.reserve(
@@ -188,10 +255,9 @@ std::vector<double> stepped_values(double start, double stop, double incr,
 /// a bare number, "DC <value>", or a PULSE/SIN/PWL waveform (the tokenizer
 /// already stripped the parentheses). Returns the waveform; bare numbers
 /// come back as Waveform::dc. The source's DC value is value_at(0).
-Waveform parse_source_waveform(const std::vector<std::string>& tokens,
-                               std::size_t i, int line) {
+Waveform parse_source_waveform(Tokens tokens, std::size_t i, int line) {
   if (i >= tokens.size()) fail(line, "source needs a value or waveform");
-  const std::string head = to_upper(tokens[i]);
+  const std::string_view head = tokens[i];
   const auto numbers = [&](std::size_t from) {
     std::vector<double> out;
     for (std::size_t k = from; k < tokens.size(); ++k) {
@@ -200,14 +266,14 @@ Waveform parse_source_waveform(const std::vector<std::string>& tokens,
     return out;
   };
   try {
-    if (head == "DC") {
+    if (iequals(head, "DC")) {
       if (i + 1 >= tokens.size()) fail(line, "DC needs a value");
       if (tokens.size() != i + 2) {
         fail(line, "unexpected trailing tokens after DC value");
       }
       return Waveform::dc(parse_spice_number(tokens[i + 1]));
     }
-    if (head == "PULSE") {
+    if (iequals(head, "PULSE")) {
       const auto v = numbers(i + 1);
       if (v.size() < 2) fail(line, "PULSE needs at least v1 v2");
       if (v.size() > 7) fail(line, "PULSE takes at most 7 arguments");
@@ -217,14 +283,14 @@ Waveform parse_source_waveform(const std::vector<std::string>& tokens,
                              v.size() > 5 ? v[5] : -1.0,
                              v.size() > 6 ? v[6] : 0.0);
     }
-    if (head == "SIN") {
+    if (iequals(head, "SIN")) {
       const auto v = numbers(i + 1);
       if (v.size() < 3) fail(line, "SIN needs at least vo va freq");
       if (v.size() > 5) fail(line, "SIN takes at most 5 arguments");
       return Waveform::sin(v[0], v[1], v[2], v.size() > 3 ? v[3] : 0.0,
                            v.size() > 4 ? v[4] : 0.0);
     }
-    if (head == "PWL") {
+    if (iequals(head, "PWL")) {
       const auto v = numbers(i + 1);
       if (v.size() < 2 || v.size() % 2 != 0) {
         fail(line, "PWL needs an even number of t/v values (>= 1 pair)");
@@ -258,10 +324,9 @@ struct SourceAcSpec {
 /// Strip a trailing "AC <mag> [phase]" group from a source card's tokens
 /// (it follows the DC value / waveform, or stands alone for a pure AC
 /// stimulus source). Returns the parsed spec; `tokens` loses the group.
-SourceAcSpec extract_source_ac(std::vector<std::string>& tokens,
-                               std::size_t from, int line) {
+SourceAcSpec extract_source_ac(Tokens& tokens, std::size_t from, int line) {
   for (std::size_t i = from; i < tokens.size(); ++i) {
-    if (to_upper(tokens[i]) != "AC") continue;
+    if (!iequals(tokens[i], "AC")) continue;
     SourceAcSpec spec;
     spec.present = true;
     const std::size_t nargs = tokens.size() - i - 1;
@@ -270,7 +335,7 @@ SourceAcSpec extract_source_ac(std::vector<std::string>& tokens,
     }
     spec.magnitude = parse_spice_number(tokens[i + 1]);
     if (nargs == 2) spec.phase_deg = parse_spice_number(tokens[i + 2]);
-    tokens.erase(tokens.begin() + static_cast<long>(i), tokens.end());
+    tokens = tokens.first(i);
     return spec;
   }
   return {};
@@ -278,16 +343,15 @@ SourceAcSpec extract_source_ac(std::vector<std::string>& tokens,
 
 /// Shared body of .NODESET and .IC: "V node = value" groups (the tokenizer
 /// splits 'V(n)=x' into 'V', 'n', '=', 'x') or bare "node = value" pairs.
-void parse_node_value_pairs(const std::vector<std::string>& tokens, int line,
-                            const char* directive,
+void parse_node_value_pairs(Tokens tokens, int line, const char* directive,
                             std::map<std::string, double>& out) {
   std::size_t i = 1;
   while (i < tokens.size()) {
-    if (to_upper(tokens[i]) == "V") ++i;
+    if (iequals(tokens[i], "V")) ++i;
     if (i + 2 >= tokens.size() || tokens[i + 1] != "=") {
       fail(line, std::string(directive) + " expects V(node)=value groups");
     }
-    out[tokens[i]] = parse_spice_number(tokens[i + 2]);
+    out[std::string(tokens[i])] = parse_spice_number(tokens[i + 2]);
     i += 3;
   }
 }
@@ -295,24 +359,20 @@ void parse_node_value_pairs(const std::vector<std::string>& tokens, int line,
 /// Map a .DC/.STEP target token to an axis: TEMP (Celsius), V.../I...
 /// sources, R... resistors. Device names are used verbatim (the element
 /// cards preserve case too).
-SweepAxis axis_for_target(const std::string& target, SweepGrid grid,
-                          int line) {
-  const std::string upper = to_upper(target);
-  if (upper == "TEMP") return SweepAxis::temperature_celsius(std::move(grid));
-  if (upper.empty()) fail(line, "missing sweep target");
-  switch (upper[0]) {
-    case 'V': return SweepAxis::vsource(target, std::move(grid));
-    case 'I': return SweepAxis::isource(target, std::move(grid));
-    case 'R': return SweepAxis::resistor(target, std::move(grid));
+SweepAxis axis_for_target(std::string_view target, SweepGrid grid, int line) {
+  if (iequals(target, "TEMP")) {
+    return SweepAxis::temperature_celsius(std::move(grid));
+  }
+  if (target.empty()) fail(line, "missing sweep target");
+  switch (std::toupper(static_cast<unsigned char>(target[0]))) {
+    case 'V': return SweepAxis::vsource(std::string(target), std::move(grid));
+    case 'I': return SweepAxis::isource(std::string(target), std::move(grid));
+    case 'R': return SweepAxis::resistor(std::string(target), std::move(grid));
     default:
-      fail(line, "cannot sweep '" + target +
+      fail(line, "cannot sweep '" + std::string(target) +
                      "' (V/I sources, R resistors, or TEMP)");
   }
 }
-
-}  // namespace
-
-namespace {
 
 /// Unit annotations allowed after a scale factor ("2.5kohm", "10uF") or on
 /// their own ("5V"). Anything else trailing a number is ambiguous garbage
@@ -335,21 +395,33 @@ double parse_spice_number(std::string_view token) {
   // Case-insensitive throughout: the token is lowercased once, so "10MEG",
   // "10Meg" and "10meg" are the same mega suffix (and "10M" the same milli
   // as "10m" -- SPICE's classic MEG-vs-m distinction is by spelling, never
-  // by case).
-  const std::string t = to_lower(token);
+  // by case). strtod needs a terminated string, so the lowercased copy
+  // goes to a stack buffer; only a token too long for it reaches the heap.
+  char small[64];
+  std::string large;
+  char* t = small;
+  if (token.size() >= sizeof small) {
+    large.resize(token.size() + 1);
+    t = large.data();
+  }
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    t[i] = static_cast<char>(
+        std::tolower(static_cast<unsigned char>(token[i])));
+  }
+  t[token.size()] = '\0';
   char* end = nullptr;
-  const double base = std::strtod(t.c_str(), &end);
-  if (end == t.c_str()) {
+  const double base = std::strtod(t, &end);
+  if (end == t) {
     throw NetlistError("not a number: '" + std::string(token) + "'");
   }
-  const std::string suffix(end);
+  const std::string_view suffix(end);
   // Recognise at most ONE scale factor, optionally followed by a known
   // unit annotation (e.g. "2.5kohm", "10uF"). "meg" must be checked before
   // the one-letter scales ('m' alone is milli).
   double scale = 1.0;
-  std::string unit = suffix;
+  std::string_view unit = suffix;
   if (!suffix.empty()) {
-    if (suffix.rfind("meg", 0) == 0) {
+    if (suffix.starts_with("meg")) {
       scale = 1e6;
       unit = suffix.substr(3);
     } else {
@@ -366,8 +438,8 @@ double parse_spice_number(std::string_view token) {
       }
     }
     if (!is_unit_annotation(unit)) {
-      throw NetlistError("ambiguous number suffix '" + suffix + "' in '" +
-                         std::string(token) +
+      throw NetlistError("ambiguous number suffix '" + std::string(suffix) +
+                         "' in '" + std::string(token) +
                          "' (one scale factor plus an optional unit like "
                          "'ohm', 'v', 'a', 'f', 'h', 'hz', 's')");
     }
@@ -407,13 +479,18 @@ ParsedNetlist parse_netlist(std::string_view text) {
   std::optional<AcSpec> ac;
   int analysis_line = 0;
 
-  for (const auto& [line_text, lineno] : logical_lines(text)) {
-    const auto tokens = tokenize(line_text);
+  LogicalLines lines(text);
+  std::vector<std::string_view> token_storage;  // reused by every line
+  std::string_view line_text;
+  int lineno = 0;
+  while (lines.next(line_text, lineno)) {
+    tokenize(line_text, token_storage);
+    const Tokens tokens = token_storage;
     if (tokens.empty()) continue;
-    const std::string head = to_upper(tokens[0]);
+    const std::string_view head = tokens[0];
 
-    if (head == ".END") break;
-    if (head == ".DC") {
+    if (iequals(head, ".END")) break;
+    if (iequals(head, ".DC")) {
       if (!dc_axes.empty()) fail(lineno, "only one .DC directive per deck");
       if (tokens.size() != 5 && tokens.size() != 9) {
         fail(lineno, ".DC needs <target> <start> <stop> <incr> (optionally "
@@ -431,14 +508,14 @@ ParsedNetlist parse_netlist(std::string_view text) {
       analysis_line = lineno;
       continue;
     }
-    if (head == ".STEP") {
+    if (iequals(head, ".STEP")) {
       if (step_axis.has_value()) {
         fail(lineno, "only one .STEP directive per deck");
       }
       if (tokens.size() < 3) fail(lineno, ".STEP needs a target and points");
-      const std::string& target = tokens[1];
-      const std::string form = to_upper(tokens[2]);
-      if (form == "LIST") {
+      const std::string_view target = tokens[1];
+      const std::string_view form = tokens[2];
+      if (iequals(form, "LIST")) {
         std::vector<double> values;
         for (std::size_t i = 3; i < tokens.size(); ++i) {
           values.push_back(parse_spice_number(tokens[i]));
@@ -446,7 +523,7 @@ ParsedNetlist parse_netlist(std::string_view text) {
         if (values.empty()) fail(lineno, ".STEP LIST needs >= 1 value");
         step_axis = axis_for_target(target, SweepGrid::list(std::move(values)),
                                     lineno);
-      } else if (form == "DEC") {
+      } else if (iequals(form, "DEC")) {
         if (tokens.size() != 6) {
           fail(lineno, ".STEP DEC needs <start> <stop> <points-per-decade>");
         }
@@ -475,15 +552,15 @@ ParsedNetlist parse_netlist(std::string_view text) {
       analysis_line = lineno;
       continue;
     }
-    if (head == ".PROBE") {
+    if (iequals(head, ".PROBE")) {
       // The standard tokenizer eats '(' ')' ',', so split the raw logical
       // line on whitespace instead; one whitespace-free token per probe
       // expression.
-      std::istringstream in(line_text);
-      std::string word;
-      in >> word;  // the .PROBE keyword itself
+      std::size_t pos = 0;
+      (void)next_word(line_text, pos);  // the .PROBE keyword itself
       int parsed = 0;
-      while (in >> word) {
+      for (std::string_view word = next_word(line_text, pos); !word.empty();
+           word = next_word(line_text, pos)) {
         try {
           out.probes.push_back(parse_probe(word));
         } catch (const PlanError& e) {
@@ -494,17 +571,16 @@ ParsedNetlist parse_netlist(std::string_view text) {
       if (parsed == 0) fail(lineno, ".PROBE needs at least one expression");
       continue;
     }
-    if (head == ".TRAN") {
+    if (iequals(head, ".TRAN")) {
       if (tran.has_value()) fail(lineno, "only one .TRAN directive per deck");
       TransientSpec spec;
       std::vector<double> positional;
       std::size_t i = 1;
       while (i < tokens.size()) {
-        const std::string upper = to_upper(tokens[i]);
-        if (upper == "UIC") {
+        if (iequals(tokens[i], "UIC")) {
           spec.uic = true;
           ++i;
-        } else if (upper == "METHOD") {
+        } else if (iequals(tokens[i], "METHOD")) {
           if (i + 2 >= tokens.size() || tokens[i + 1] != "=") {
             fail(lineno, "METHOD needs =BE or =TRAP");
           }
@@ -539,21 +615,20 @@ ParsedNetlist parse_netlist(std::string_view text) {
       analysis_line = lineno;
       continue;
     }
-    if (head == ".AC") {
+    if (iequals(head, ".AC")) {
       if (ac.has_value()) fail(lineno, "only one .AC directive per deck");
       if (tokens.size() != 5) {
         fail(lineno, ".AC needs <DEC|OCT|LIN> <points> <fstart> <fstop>");
       }
       AcSpec spec;
-      const std::string form = to_upper(tokens[1]);
-      if (form == "DEC") {
+      if (iequals(tokens[1], "DEC")) {
         spec.spacing = AcSpec::Spacing::kDecade;
-      } else if (form == "OCT") {
+      } else if (iequals(tokens[1], "OCT")) {
         spec.spacing = AcSpec::Spacing::kOctave;
-      } else if (form == "LIN") {
+      } else if (iequals(tokens[1], "LIN")) {
         spec.spacing = AcSpec::Spacing::kLinear;
       } else {
-        fail(lineno, ".AC: unknown sweep form '" + tokens[1] +
+        fail(lineno, ".AC: unknown sweep form '" + std::string(tokens[1]) +
                          "' (want DEC, OCT, or LIN)");
       }
       spec.points = static_cast<int>(parse_spice_number(tokens[2]));
@@ -568,21 +643,21 @@ ParsedNetlist parse_netlist(std::string_view text) {
       analysis_line = lineno;
       continue;
     }
-    if (head == ".IC") {
+    if (iequals(head, ".IC")) {
       parse_node_value_pairs(tokens, lineno, ".IC", out.ics);
       continue;
     }
-    if (head == ".TEMP") {
+    if (iequals(head, ".TEMP")) {
       if (tokens.size() < 2) fail(lineno, ".TEMP needs a value");
       out.temperature_celsius = parse_spice_number(tokens[1]);
       out.has_temp_directive = true;
       continue;
     }
-    if (head == ".NODESET") {
+    if (iequals(head, ".NODESET")) {
       parse_node_value_pairs(tokens, lineno, ".NODESET", out.nodesets);
       continue;
     }
-    if (head == ".MODEL") {
+    if (iequals(head, ".MODEL")) {
       if (tokens.size() < 3) fail(lineno, ".MODEL needs a name and a type");
       const std::string name = to_upper(tokens[1]);
       const std::string type = to_upper(tokens[2]);
@@ -604,16 +679,19 @@ ParsedNetlist parse_netlist(std::string_view text) {
       }
       continue;
     }
-    if (head[0] == '.') fail(lineno, "unknown directive '" + head + "'");
+    if (head[0] == '.') {
+      fail(lineno, "unknown directive '" + to_upper(head) + "'");
+    }
 
-    const char kind = head[0];
+    const std::string_view name = tokens[0];
     try {
-      switch (kind) {
+      switch (std::toupper(static_cast<unsigned char>(head[0]))) {
       case 'R': {
         if (tokens.size() < 4) fail(lineno, "R: need name, 2 nodes, value");
         const auto params = parse_params(
             tokens, std::min<std::size_t>(4, tokens.size()), lineno);
-        c.add_resistor(tokens[0], c.node(tokens[1]), c.node(tokens[2]),
+        c.add_resistor(std::string(name), c.node(tokens[1]),
+                       c.node(tokens[2]),
                        parse_spice_number(tokens[3]),
                        param_or(params, "TC1", 0.0),
                        param_or(params, "TC2", 0.0));
@@ -621,29 +699,31 @@ ParsedNetlist parse_netlist(std::string_view text) {
       }
       case 'V': {
         if (tokens.size() < 4) fail(lineno, "V: need name, 2 nodes, value");
-        std::vector<std::string> value_tokens = tokens;
+        Tokens value_tokens = tokens;
         const SourceAcSpec acs = extract_source_ac(value_tokens, 3, lineno);
         // A pure "V1 a b AC 1" stimulus source biases to DC 0.
         const Waveform wf =
             value_tokens.size() == 3
                 ? Waveform::dc(0.0)
                 : parse_source_waveform(value_tokens, 3, lineno);
-        VoltageSource& v = c.add_vsource(tokens[0], c.node(tokens[1]),
-                                         c.node(tokens[2]), wf.dc_value());
+        VoltageSource& v =
+            c.add_vsource(std::string(name), c.node(tokens[1]),
+                          c.node(tokens[2]), wf.dc_value());
         if (wf.kind() != Waveform::Kind::kDc) v.set_waveform(wf);
         if (acs.present) v.set_ac(acs.magnitude, acs.phase_deg);
         break;
       }
       case 'I': {
         if (tokens.size() < 4) fail(lineno, "I: need name, 2 nodes, value");
-        std::vector<std::string> value_tokens = tokens;
+        Tokens value_tokens = tokens;
         const SourceAcSpec acs = extract_source_ac(value_tokens, 3, lineno);
         const Waveform wf =
             value_tokens.size() == 3
                 ? Waveform::dc(0.0)
                 : parse_source_waveform(value_tokens, 3, lineno);
-        CurrentSource& src = c.add_isource(tokens[0], c.node(tokens[1]),
-                                           c.node(tokens[2]), wf.dc_value());
+        CurrentSource& src =
+            c.add_isource(std::string(name), c.node(tokens[1]),
+                          c.node(tokens[2]), wf.dc_value());
         if (wf.kind() != Waveform::Kind::kDc) src.set_waveform(wf);
         if (acs.present) src.set_ac(acs.magnitude, acs.phase_deg);
         break;
@@ -651,7 +731,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
       case 'C': {
         if (tokens.size() < 4) fail(lineno, "C: need name, 2 nodes, value");
         const auto params = parse_params(tokens, 4, lineno);
-        c.add_capacitor(tokens[0], c.node(tokens[1]), c.node(tokens[2]),
+        c.add_capacitor(std::string(name), c.node(tokens[1]),
+                        c.node(tokens[2]),
                         parse_spice_number(tokens[3]),
                         param_or(params, "IC", std::nan("")));
         break;
@@ -659,7 +740,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
       case 'L': {
         if (tokens.size() < 4) fail(lineno, "L: need name, 2 nodes, value");
         const auto params = parse_params(tokens, 4, lineno);
-        c.add_inductor(tokens[0], c.node(tokens[1]), c.node(tokens[2]),
+        c.add_inductor(std::string(name), c.node(tokens[1]),
+                       c.node(tokens[2]),
                        parse_spice_number(tokens[3]),
                        param_or(params, "IC", std::nan("")));
         break;
@@ -668,7 +750,7 @@ ParsedNetlist parse_netlist(std::string_view text) {
         if (tokens.size() < 6) {
           fail(lineno, "E: need name, 4 nodes, gain");
         }
-        c.add_vcvs(tokens[0], c.node(tokens[1]), c.node(tokens[2]),
+        c.add_vcvs(std::string(name), c.node(tokens[1]), c.node(tokens[2]),
                    c.node(tokens[3]), c.node(tokens[4]),
                    parse_spice_number(tokens[5]));
         break;
@@ -676,7 +758,7 @@ ParsedNetlist parse_netlist(std::string_view text) {
       case 'U': {
         if (tokens.size() < 4) fail(lineno, "U: need name and 3 nodes");
         const auto params = parse_params(tokens, 4, lineno);
-        c.add_opamp(tokens[0], c.node(tokens[1]), c.node(tokens[2]),
+        c.add_opamp(std::string(name), c.node(tokens[1]), c.node(tokens[2]),
                     c.node(tokens[3]), param_or(params, "GAIN", 1e6),
                     param_or(params, "OFFSET", 0.0));
         break;
@@ -685,9 +767,9 @@ ParsedNetlist parse_netlist(std::string_view text) {
         if (tokens.size() < 4) fail(lineno, "D: need name, 2 nodes, model");
         std::map<std::string, double> params;
         if (tokens.size() > 4) params = parse_params(tokens, 4, lineno);
-        diodes.push_back({tokens[0], tokens[1], tokens[2],
-                          to_upper(tokens[3]), param_or(params, "AREA", 1.0),
-                          lineno});
+        diodes.push_back({std::string(name), std::string(tokens[1]),
+                          std::string(tokens[2]), to_upper(tokens[3]),
+                          param_or(params, "AREA", 1.0), lineno});
         break;
       }
       case 'M': {
@@ -696,7 +778,8 @@ ParsedNetlist parse_netlist(std::string_view text) {
         }
         std::map<std::string, double> params;
         if (tokens.size() > 5) params = parse_params(tokens, 5, lineno);
-        mosfets.push_back({tokens[0], tokens[1], tokens[2], tokens[3],
+        mosfets.push_back({std::string(name), std::string(tokens[1]),
+                           std::string(tokens[2]), std::string(tokens[3]),
                            to_upper(tokens[4]), param_or(params, "WL", 1.0),
                            lineno});
         break;
@@ -704,13 +787,13 @@ ParsedNetlist parse_netlist(std::string_view text) {
       case 'Q': {
         if (tokens.size() < 5) fail(lineno, "Q: need name, 3 nodes, model");
         std::map<std::string, double> params;
-        std::string substrate = "0";
+        std::string_view substrate = "0";
         // Optional SUBSTRATE=<node> must be handled before numeric params.
-        std::vector<std::string> rest(tokens.begin() + 5, tokens.end());
-        std::vector<std::string> numeric;
+        const Tokens rest = tokens.subspan(5);
+        std::vector<std::string_view> numeric;
         for (std::size_t i = 0; i < rest.size();) {
-          if (to_upper(rest[i]) == "SUBSTRATE" && i + 2 < rest.size() + 1 &&
-              i + 1 < rest.size() && rest[i + 1] == "=") {
+          if (iequals(rest[i], "SUBSTRATE") && i + 1 < rest.size() &&
+              rest[i + 1] == "=") {
             if (i + 2 >= rest.size()) fail(lineno, "SUBSTRATE needs a node");
             substrate = rest[i + 2];
             i += 3;
@@ -720,13 +803,14 @@ ParsedNetlist parse_netlist(std::string_view text) {
           }
         }
         if (!numeric.empty()) params = parse_params(numeric, 0, lineno);
-        bjts.push_back({tokens[0], tokens[1], tokens[2], tokens[3],
-                        to_upper(tokens[4]), substrate,
+        bjts.push_back({std::string(name), std::string(tokens[1]),
+                        std::string(tokens[2]), std::string(tokens[3]),
+                        to_upper(tokens[4]), std::string(substrate),
                         param_or(params, "AREA", 1.0), lineno});
         break;
       }
       default:
-        fail(lineno, "unknown element '" + tokens[0] + "'");
+        fail(lineno, "unknown element '" + std::string(name) + "'");
       }
     } catch (const NetlistError&) {
       throw;  // already carries line context
@@ -861,9 +945,26 @@ const AnalysisPlan* ParsedNetlist::find_plan(AnalysisKind kind)
 }
 
 ParsedNetlist parse_netlist(std::istream& in) {
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_netlist(buf.str());
+  // Read straight into one string, sized up front from what the stream
+  // reports available (a file's remaining size), growing only if it had
+  // more.
+  std::string text;
+  if (std::streambuf* buf = in.rdbuf()) {
+    text.resize(static_cast<std::size_t>(
+                    std::max<std::streamsize>(buf->in_avail(), 0)) +
+                1);
+    std::size_t size = 0;
+    for (;;) {
+      if (size == text.size()) text.resize(2 * text.size());
+      const std::streamsize got =
+          buf->sgetn(text.data() + size,
+                     static_cast<std::streamsize>(text.size() - size));
+      if (got <= 0) break;
+      size += static_cast<std::size_t>(got);
+    }
+    text.resize(size);
+  }
+  return parse_netlist(text);
 }
 
 namespace {

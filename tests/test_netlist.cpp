@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <random>
+#include <sstream>
+#include <vector>
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/spice/dc_solver.hpp"
 #include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
+#include "icvbe/testing/alloc_hook.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -600,6 +608,296 @@ TEST(ModelWriter, DiodeCardRoundTrip) {
   ASSERT_TRUE(parsed.diode_models.contains("DD"));
   EXPECT_DOUBLE_EQ(parsed.diode_models.at("DD").is, 3e-15);
   EXPECT_DOUBLE_EQ(parsed.diode_models.at("DD").n, 1.05);
+}
+
+// --------------------------------------------- front-end edge cases ---
+
+/// Node names in id order and device names in deck order.
+std::vector<std::string> name_sequence(const Circuit& c) {
+  std::vector<std::string> names;
+  for (int n = 0; n < c.node_count(); ++n) names.push_back(c.node_name(n));
+  names.emplace_back("|");
+  for (const auto& dev : c.devices()) names.push_back(dev->name());
+  return names;
+}
+
+TEST(NetlistFrontEnd, CrlfTailCommentsAndTabsParseLikeLf) {
+  const std::string lf =
+      "V1 in 0 5\n"
+      "R1 in mid 1k\n"
+      "R2 mid 0 3k\n";
+  const std::string crlf =
+      "V1\tin\t0\t5\r\n"
+      "R1 in mid 1k ; series arm\r\n"
+      "\t R2\tmid 0\t3k;shunt\r\n"
+      "  ; nothing but a comment\r\n";
+  auto a = parse_netlist(lf);
+  auto b = parse_netlist(crlf);
+  EXPECT_EQ(name_sequence(*a.circuit), name_sequence(*b.circuit));
+  EXPECT_DOUBLE_EQ(b.circuit->get<Resistor>("R2").nominal_resistance(), 3000.0);
+  const Unknowns x = solve_dc_or_throw(*b.circuit);
+  EXPECT_NEAR(x.node_voltage(b.circuit->node("mid")), 3.75, 1e-6);
+}
+
+TEST(NetlistFrontEnd, ContinuationAfterCommentLineJoinsTheCard) {
+  auto parsed = parse_netlist(
+      "V1 a 0 2\n"
+      "R1 a\n"
+      "* a comment between the card and its continuation\n"
+      "\n"
+      "+ b\r\n"
+      "+ 1k ; and a tail comment\n"
+      "R2 b 0 1k\n");
+  const Circuit& c = *parsed.circuit;
+  EXPECT_DOUBLE_EQ(c.get<Resistor>("R1").nominal_resistance(), 1000.0);
+  EXPECT_EQ(c.node_name(c.find_node("b")), "b");
+  EXPECT_EQ(c.devices().size(), 3u);
+}
+
+TEST(NetlistFrontEnd, OrphanContinuationKeepsItsMessage) {
+  try {
+    (void)parse_netlist("* title\n+ R1 a 0 1k\n");
+    FAIL() << "should have thrown";
+  } catch (const NetlistError& e) {
+    EXPECT_STREQ(e.what(),
+                 "netlist line 2: continuation with no previous line");
+  }
+}
+
+TEST(NetlistFrontEnd, NamesPastTheSmallStringBuffer) {
+  const std::string node = "a_very_long_node_name_past_sso";
+  const std::string dev = "Rthis_resistor_name_is_long";
+  auto parsed = parse_netlist("V1 " + node + " 0 1\n" + dev + " " + node +
+                              " another_long_node_name_here 2k\n"
+                              "R2 another_long_node_name_here 0 2k\n");
+  const Circuit& c = *parsed.circuit;
+  ASSERT_NE(c.find_node(node), -1);
+  EXPECT_EQ(c.node_name(c.find_node(node)), node);
+  EXPECT_EQ(c.get<Resistor>(dev).name(), dev);
+  EXPECT_DOUBLE_EQ(c.get<Resistor>(dev).nominal_resistance(), 2000.0);
+}
+
+TEST(NetlistFrontEnd, GroundAliasesAndUnknownNodes) {
+  Circuit c;
+  EXPECT_EQ(c.node("0"), kGround);
+  EXPECT_EQ(c.node("gnd"), kGround);
+  EXPECT_EQ(c.find_node("0"), kGround);
+  EXPECT_EQ(c.find_node("gnd"), kGround);
+  EXPECT_EQ(c.find_node("GND"), -1);  // aliases are case-sensitive
+  EXPECT_EQ(c.find_node("nowhere"), -1);
+  EXPECT_EQ(c.node_count(), 1);
+  const NodeId a = c.node("a");
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(c.find_node("a"), a);
+  EXPECT_EQ(c.find(std::string_view("R1")), nullptr);
+}
+
+TEST(NetlistFrontEnd, CloneAnswersTheSameLookups) {
+  auto parsed = parse_netlist(
+      "V1 in 0 5\nR1 in mid 1k\nR2 mid 0 3k\nC1 mid 0 1n\n");
+  const Circuit& c = *parsed.circuit;
+  const Circuit copy = c.clone();
+  EXPECT_EQ(name_sequence(copy), name_sequence(c));
+  for (int n = 0; n < c.node_count(); ++n) {
+    EXPECT_EQ(copy.find_node(c.node_name(n)), n);
+  }
+  for (const auto& dev : c.devices()) {
+    const Device* found = copy.find(dev->name());
+    ASSERT_NE(found, nullptr);
+    EXPECT_NE(found, dev.get());  // the clone's own device
+    EXPECT_EQ(found->name(), dev->name());
+  }
+  EXPECT_DOUBLE_EQ(copy.get<Resistor>("R2").nominal_resistance(), 3000.0);
+}
+
+TEST(NetlistFrontEnd, HundredThousandNamesRoundTrip) {
+  const auto node_name = [](int i) {
+    std::string name("n");
+    name += std::to_string(i);
+    return name;
+  };
+  Circuit c;
+  constexpr int kNames = 100000;
+  for (int i = 0; i < kNames; ++i) {
+    const std::string name = node_name(i);
+    const NodeId id = c.node(name);
+    ASSERT_EQ(id, i + 1);  // first-appearance order
+    ASSERT_EQ(c.node_name(c.node(name)), name);
+  }
+  for (int i = 0; i < kNames; i += 997) {
+    EXPECT_EQ(c.find_node(node_name(i)), i + 1);
+  }
+  EXPECT_EQ(c.node_count(), kNames + 1);
+}
+
+TEST(NetlistFrontEnd, DuplicateDeviceMessageIsExact) {
+  try {
+    (void)parse_netlist("V1 a 0 1\nR1 a 0 1k\n* gap\nR1 a 0 2k\n");
+    FAIL() << "should have thrown";
+  } catch (const NetlistError& e) {
+    EXPECT_STREQ(e.what(), "netlist line 4: duplicate device name 'R1'");
+  }
+  Circuit c;
+  c.add_resistor("Rx", c.node("a"), kGround, 1.0);
+  try {
+    c.add_resistor("Rx", c.node("b"), kGround, 2.0);
+    FAIL() << "should have thrown";
+  } catch (const CircuitError& e) {
+    EXPECT_STREQ(e.what(), "duplicate device name 'Rx'");
+  }
+  EXPECT_EQ(c.devices().size(), 1u);
+  EXPECT_DOUBLE_EQ(c.get<Resistor>("Rx").nominal_resistance(), 1.0);
+}
+
+TEST(NetlistFrontEnd, LongNumberTokensParse) {
+  const std::string digits(80, '0');
+  EXPECT_DOUBLE_EQ(parse_spice_number(digits + "1.5k"), 1500.0);
+  EXPECT_THROW((void)parse_spice_number(digits + "1.5kk"), NetlistError);
+}
+
+TEST(NetlistFrontEnd, NonFiniteOrHugeSweepsRejected) {
+  const std::string deck = "V1 a 0 1\nR1 a 0 1k\n.PROBE V(a)\n";
+  EXPECT_THROW((void)parse_netlist(deck + ".DC V1 0 1 nan\n"), NetlistError);
+  EXPECT_THROW((void)parse_netlist(deck + ".DC V1 0 inf 1\n"), NetlistError);
+  EXPECT_THROW((void)parse_netlist(deck + ".DC V1 0 1 1p\n"), NetlistError);
+  EXPECT_NO_THROW((void)parse_netlist(deck + ".DC V1 0 1 1u\n"));
+}
+
+// The parser allocates the devices it builds and nothing per line: no
+// line copies, token vectors or tree-map nodes. Element cards with short
+// names cost one operator new each (the device); table growth amortises
+// to a fraction of one.
+TEST(NetlistFrontEnd, ParseAllocatesAboutOncePerElementCard) {
+  SyntheticNetlistSpec spec;
+  spec.topology = SyntheticTopology::kClockTree;
+  spec.nodes = 16000;
+  const std::string deck = generate_netlist(spec);
+  std::size_t cards = 0;
+  std::istringstream lines(deck);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && std::isalpha(static_cast<unsigned char>(line[0]))) {
+      ++cards;
+    }
+  }
+  ASSERT_GE(cards, 20000u);
+  const std::uint64_t before = testing::allocation_count();
+  {
+    const ParsedNetlist parsed = parse_netlist(deck);
+    EXPECT_EQ(parsed.circuit->devices().size(), cards);
+  }
+  const std::uint64_t allocations = testing::allocation_count() - before;
+  const double per_card =
+      static_cast<double>(allocations) / static_cast<double>(cards);
+  EXPECT_LE(per_card, 1.5) << allocations << " allocations for " << cards
+                           << " element cards";
+}
+
+// ------------------------------------------------- mutation harness ---
+
+/// Seeded deck mutator: byte edits drawn from the grammar's own
+/// characters (and now and then any byte), line drops and duplicates,
+/// CRLF endings, '+' continuation splits and ';' tails.
+std::string mutate_deck(const std::string& deck, std::mt19937_64& rng) {
+  static const std::string kAlphabet =
+      " \t\r\n+*;=(),.-0123456789eEkKmMgGuUnNpPfFvViIrRcClLdDqQ";
+  const auto pick = [&](std::size_t n) {
+    return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
+  };
+  std::string s = deck;
+  const int edits = 1 + static_cast<int>(rng() % 4);
+  for (int e = 0; e < edits; ++e) {
+    switch (rng() % 8) {
+      case 0:
+        if (!s.empty()) s.erase(pick(s.size()), 1 + pick(8));
+        break;
+      case 1:
+        s.insert(pick(s.size() + 1), 1, kAlphabet[pick(kAlphabet.size())]);
+        break;
+      case 2:
+        s.insert(pick(s.size() + 1), 1, static_cast<char>(rng() & 0xff));
+        break;
+      case 3:
+        if (!s.empty()) s[pick(s.size())] = kAlphabet[pick(kAlphabet.size())];
+        break;
+      case 4: {  // drop or duplicate the line around a random position
+        const std::size_t at = pick(s.size() + 1);
+        const std::size_t bol = at == 0 ? 0 : s.rfind('\n', at - 1) + 1;
+        std::size_t eol = s.find('\n', at);
+        eol = eol == std::string::npos ? s.size() : eol + 1;
+        if (rng() & 1) {
+          s.insert(bol, s.substr(bol, eol - bol));
+        } else {
+          s.erase(bol, eol - bol);
+        }
+        break;
+      }
+      case 5: {  // CRLF line endings
+        std::string out;
+        for (const char c : s) {
+          if (c == '\n') out += '\r';
+          out += c;
+        }
+        s = std::move(out);
+        break;
+      }
+      case 6: {  // split a card at a blank into a '+' continuation
+        const std::size_t p = s.find(' ', pick(s.size() + 1));
+        if (p != std::string::npos) {
+          s.replace(p, 1, (rng() & 1) ? "\n+ " : "\n* between\n+");
+        }
+        break;
+      }
+      default:
+        s.insert(pick(s.size() + 1), "; tail");
+        break;
+    }
+  }
+  return s;
+}
+
+std::vector<std::string> example_decks() {
+  std::vector<std::string> decks;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(ICVBE_EXAMPLE_DECKS_DIR)) {
+    if (entry.path().extension() != ".cir") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    decks.push_back(text.str());
+  }
+  return decks;
+}
+
+// Every mutant either parses or fails with an icvbe::Error (NetlistError,
+// CircuitError, PlanError, ...); nothing else may escape. An accepted deck
+// parses the same way twice. ICVBE_SPARSE_STRESS=1 runs the long variant.
+TEST(NetlistMutation, OnlyIcvbeErrorsEscapeAndParsesRepeat) {
+  const std::vector<std::string> decks = example_decks();
+  ASSERT_GE(decks.size(), 5u);
+  const char* stress = std::getenv("ICVBE_SPARSE_STRESS");
+  const bool long_run = stress != nullptr && std::string(stress) == "1";
+  const int mutants = long_run ? 100000 : 4000;
+  std::mt19937_64 rng(20021);
+  int accepted = 0;
+  for (int k = 0; k < mutants; ++k) {
+    const std::string deck = mutate_deck(decks[rng() % decks.size()], rng);
+    try {
+      const ParsedNetlist first = parse_netlist(deck);
+      const ParsedNetlist second = parse_netlist(deck);
+      ASSERT_EQ(name_sequence(*first.circuit), name_sequence(*second.circuit))
+          << "mutant " << k << ":\n" << deck;
+      ++accepted;
+    } catch (const Error&) {
+      // rejected with a diagnosable icvbe error: fine
+    } catch (const std::exception& e) {
+      FAIL() << "mutant " << k << " escaped with " << e.what() << ":\n"
+             << deck;
+    }
+  }
+  // Both outcomes must be exercised, or the mutator is too weak or too
+  // destructive to test anything.
+  EXPECT_GT(accepted, mutants / 10);
+  EXPECT_LT(accepted, mutants - mutants / 10);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <numbers>
 #include <random>
@@ -42,6 +43,66 @@ TEST(SparseMatrixTest, BuildFreezeAccess) {
   EXPECT_DOUBLE_EQ(m.at(0, 2), 1.0);
   EXPECT_DOUBLE_EQ(m.at(0, 1), 0.0);  // outside pattern reads as zero
   EXPECT_DOUBLE_EQ(m.at(2, 0), -1.0);
+}
+
+TEST(SparseMatrixTest, ShuffledRegistrationsFreezeToTheSortedCsr) {
+  // Random (row, col) registrations with many repeats, in random order,
+  // against a reference built from the sorted distinct coordinates. Each
+  // slot's value must be the left fold of its registrations in
+  // registration order.
+  constexpr std::size_t kN = 60;
+  std::mt19937_64 rng(7);
+  std::vector<std::tuple<int, int, double>> regs;
+  for (int k = 0; k < 3000; ++k) {
+    const int r = static_cast<int>(rng() % kN);
+    // Row 0 is long (past the insertion-sort cut-off); others are short.
+    const int c = r == 0 ? static_cast<int>(rng() % kN)
+                         : static_cast<int>((r + rng() % 5) % kN);
+    regs.emplace_back(r, c, std::ldexp(static_cast<double>(rng() % 1000),
+                                       static_cast<int>(rng() % 80) - 40));
+  }
+  SparseMatrix m(kN, kN);
+  std::map<std::pair<int, int>, double> folded;
+  for (const auto& [r, c, v] : regs) {
+    m.add(static_cast<std::size_t>(r), static_cast<std::size_t>(c), v);
+    auto [it, fresh] = folded.try_emplace({r, c}, v);
+    if (!fresh) it->second += v;
+  }
+  m.freeze_pattern();
+  std::vector<int> row_ptr(kN + 1, 0);
+  std::vector<int> cols;
+  std::vector<double> values;
+  for (const auto& [rc, v] : folded) {
+    ++row_ptr[static_cast<std::size_t>(rc.first) + 1];
+    cols.push_back(rc.second);
+    values.push_back(v);
+  }
+  for (std::size_t r = 0; r < kN; ++r) row_ptr[r + 1] += row_ptr[r];
+  EXPECT_EQ(m.row_ptr(), row_ptr);
+  EXPECT_EQ(m.col_index(), cols);
+  ASSERT_EQ(m.values().size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(m.values()[i], values[i]) << "slot " << i;  // bitwise
+  }
+}
+
+TEST(SparseMatrixTest, DuplicatesSumInRegistrationOrder) {
+  // 1e16 + 1 rounds back to 1e16, so the fold order shows in the result.
+  SparseMatrix a(2, 2);
+  a.add(1, 1, 1e16);
+  a.add(0, 0, 5.0);
+  a.add(1, 1, 1.0);
+  a.add(1, 1, -1e16);
+  a.freeze_pattern();
+  EXPECT_EQ(a.at(1, 1), (1e16 + 1.0) - 1e16);  // 0
+  SparseMatrix b(2, 2);
+  b.add(1, 1, 1e16);
+  b.add(1, 1, -1e16);
+  b.add(0, 0, 5.0);
+  b.add(1, 1, 1.0);
+  b.freeze_pattern();
+  EXPECT_EQ(b.at(1, 1), (1e16 - 1e16) + 1.0);  // 1
+  EXPECT_EQ(a.col_index(), b.col_index());
 }
 
 TEST(SparseMatrixTest, FrozenAddAccumulatesAndRejectsOutsidePattern) {
