@@ -1,12 +1,13 @@
-// AC small-signal sweep throughput, dense vs sparse complex engines.
+// AC small-signal sweep throughput, dense vs sparse complex LU.
 //
 // Stage 1 (report): for generated rc-ladder decks of growing size, time
-// the per-frequency-point solve_ac() kernel -- complex restamp + LU
-// refactor + solve -- on both engines after their setup (the sparse
-// engine's one symbolic analysis included in setup, exactly like a
-// Newton loop's). Reports points/second, asserts the >= 3x sparse gate
-// at >= 200 nodes, and records the study in results/BENCH_ac.json plus
-// the usual CSV.
+// the per-frequency-point kernel -- complex restamp + LU refactor + solve
+// -- after its setup: the session's solve_ac() on the sparse engine (its
+// one symbolic analysis included in setup, exactly like a Newton loop's),
+// against the same stamped system expanded with to_dense() and factored
+// by the dense ComplexLuFactorization. Reports points/second, asserts the
+// >= 3x sparse gate at >= 200 nodes, and records the study in
+// results/BENCH_ac.json plus the usual CSV.
 //
 // Stage 2: google-benchmark timings of the same kernel plus a whole
 // .AC plan run through SimSession::run.
@@ -22,6 +23,7 @@
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
+#include "icvbe/spice/stamper.hpp"
 
 namespace {
 
@@ -37,18 +39,59 @@ spice::ParsedNetlist make_ac_deck(int nodes, std::uint64_t seed = 42) {
   return spice::parse_netlist(spice::generate_netlist(spec));
 }
 
+/// The dense reference for one AC point: restamp the complex system about
+/// a fixed operating point, expand it with to_dense() and refactor + solve
+/// it with the dense ComplexLuFactorization.
+class DenseAcPoint {
+ public:
+  DenseAcPoint(spice::Circuit& circuit, spice::Unknowns op, double gmin)
+      : circuit_(circuit),
+        op_(std::move(op)),
+        gmin_(gmin),
+        node_unknowns_(circuit.node_count() - 1) {
+    a_.resize(op_.size(), op_.size());
+    stamp(1.0);  // pattern discovery
+    a_.freeze_pattern();
+  }
+
+  const linalg::ComplexVector& operator()(double omega) {
+    a_.fill(linalg::Complex{});
+    stamp(omega);
+    lu_.refactor(a_.to_dense());
+    lu_.solve_in_place(b_);
+    return b_;
+  }
+
+ private:
+  void stamp(double omega) {
+    b_.assign(op_.size(), linalg::Complex{});
+    spice::AcStamper st(a_, b_, node_unknowns_, omega);
+    for (const auto& dev : circuit_.devices()) dev->stamp_ac(st, op_);
+    for (int i = 0; i < node_unknowns_; ++i) {
+      st.add_entry(i, i, linalg::Complex(gmin_));
+    }
+  }
+
+  spice::Circuit& circuit_;
+  spice::Unknowns op_;
+  double gmin_;
+  int node_unknowns_;
+  linalg::ComplexSparseMatrix a_;
+  linalg::ComplexVector b_;
+  linalg::ComplexLuFactorization lu_;
+};
+
 /// Mean microseconds per AC point over the deck's frequency grid,
-/// repeated until >= ~60 ms of work. The session is primed (OP solved,
-/// complex engine materialised, symbolic analysis cached) before timing.
-double time_ac_point_us(spice::SimSession& session,
-                        const std::vector<double>& freqs) {
-  (void)session.solve_or_throw();
-  (void)session.solve_ac(2.0 * M_PI * freqs.front());  // setup + analysis
+/// repeated until >= ~60 ms of work. `point(omega)` is called once at the
+/// first frequency before timing (setup, symbolic analysis).
+template <typename Point>
+double time_ac_point_us(Point&& point, const std::vector<double>& freqs) {
+  (void)point(2.0 * M_PI * freqs.front());
   int reps = 1;
   for (;;) {
     const auto t0 = Clock::now();
     for (int r = 0; r < reps; ++r) {
-      for (double f : freqs) (void)session.solve_ac(2.0 * M_PI * f);
+      for (double f : freqs) (void)point(2.0 * M_PI * f);
     }
     const double us =
         std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
@@ -73,24 +116,19 @@ std::vector<AcRow> run_study() {
   for (int nodes : {50, 100, 200, 500}) {
     AcRow row;
     row.nodes = nodes;
-    {
-      auto parsed = make_ac_deck(nodes);
-      const std::vector<double> freqs = parsed.plan->ac->frequencies();
-      row.points = freqs.size();
-      spice::NewtonOptions opt;
-      opt.sparse = spice::SparseMode::kDense;
-      spice::SimSession session(*parsed.circuit, opt);
-      row.unknowns = session.unknown_count();
-      row.dense_us = time_ac_point_us(session, freqs);
-    }
-    {
-      auto parsed = make_ac_deck(nodes);
-      const std::vector<double> freqs = parsed.plan->ac->frequencies();
-      spice::NewtonOptions opt;
-      opt.sparse = spice::SparseMode::kSparse;
-      spice::SimSession session(*parsed.circuit, opt);
-      row.sparse_us = time_ac_point_us(session, freqs);
-    }
+    auto parsed = make_ac_deck(nodes);
+    const std::vector<double> freqs = parsed.plan->ac->frequencies();
+    row.points = freqs.size();
+    spice::SimSession session(*parsed.circuit);
+    row.unknowns = session.unknown_count();
+    const spice::Unknowns op = session.solve_or_throw();
+    DenseAcPoint dense(*parsed.circuit, op, session.options().gmin_floor);
+    row.dense_us = time_ac_point_us(dense, freqs);
+    row.sparse_us = time_ac_point_us(
+        [&session](double w) -> const linalg::ComplexVector& {
+          return session.solve_ac(w);
+        },
+        freqs);
     rows.push_back(row);
   }
   return rows;
@@ -123,7 +161,7 @@ void write_json(const std::vector<AcRow>& rows, const std::string& path) {
 /// this binary, so a complex-engine regression cannot slip through green.
 [[nodiscard]] bool report() {
   bench::banner(
-      "AC sweep throughput: dense vs sparse complex engines (us/point)");
+      "AC sweep throughput: dense vs sparse complex LU (us/point)");
   const std::vector<AcRow> rows = run_study();
 
   Table t({"nodes", "unknowns", "points", "dense [us/pt]", "sparse [us/pt]",
@@ -157,15 +195,13 @@ void write_json(const std::vector<AcRow>& rows, const std::string& path) {
 
 void BM_AcPointDense(benchmark::State& state) {
   auto parsed = make_ac_deck(static_cast<int>(state.range(0)));
-  spice::NewtonOptions opt;
-  opt.sparse = spice::SparseMode::kDense;
-  spice::SimSession session(*parsed.circuit, opt);
-  (void)session.solve_or_throw();
-  (void)session.solve_ac(2.0 * M_PI * 10.0);
+  spice::SimSession session(*parsed.circuit);
+  DenseAcPoint dense(*parsed.circuit, session.solve_or_throw(),
+                     session.options().gmin_floor);
   double f = 10.0;
   for (auto _ : state) {
     f = f < 1e5 ? f * 1.2589254117941673 : 10.0;
-    const auto& x = session.solve_ac(2.0 * M_PI * f);
+    const auto& x = dense(2.0 * M_PI * f);
     benchmark::DoNotOptimize(x.data());
   }
 }
@@ -173,9 +209,7 @@ BENCHMARK(BM_AcPointDense)->Arg(100)->Arg(200);
 
 void BM_AcPointSparse(benchmark::State& state) {
   auto parsed = make_ac_deck(static_cast<int>(state.range(0)));
-  spice::NewtonOptions opt;
-  opt.sparse = spice::SparseMode::kSparse;
-  spice::SimSession session(*parsed.circuit, opt);
+  spice::SimSession session(*parsed.circuit);
   (void)session.solve_or_throw();
   (void)session.solve_ac(2.0 * M_PI * 10.0);
   double f = 10.0;

@@ -1,11 +1,10 @@
-// Dense-vs-sparse linear engine crossover on generated netlists.
+// Dense-vs-sparse LU crossover on generated netlists.
 //
 // Stage 1 (reproduction-style report): for each topology/size, stamp the
-// MNA system at its solved DC operating point and time the
-// refactor+solve loop both engines run inside every Newton iteration.
-// Prints the crossover, compares it with the NewtonOptions auto
-// threshold, and records the study in results/BENCH_sparse.json (plus the
-// usual CSV).
+// MNA system at its solved DC operating point and time the refactor+solve
+// a Newton iteration runs, on the sparse LU and on dense LU of the same
+// system (to_dense()). Prints the crossover and records the study in
+// results/BENCH_sparse.json (plus the usual CSV).
 //
 // Stage 2 (ordering A/B): legacy set-based minimum degree vs the AMD +
 // BTF/supernode default (SparseOptions) at 1000-node ladder/mesh --
@@ -79,13 +78,6 @@ StampedSystem make_system(spice::SyntheticTopology topology, int nodes,
 
   const auto un = static_cast<std::size_t>(n);
   out.rhs.assign(un, 0.0);
-  if (with_dense) {
-    out.dense.resize(un, un);
-    spice::Stamper st(out.dense, out.rhs, node_unknowns);
-    for (const auto& dev : out.circuit->devices()) dev->stamp(st, x);
-    for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, 1e-12);
-  }
-  std::fill(out.rhs.begin(), out.rhs.end(), 0.0);
   out.sparse.resize(un, un);
   {
     spice::Stamper st(out.sparse, out.rhs, node_unknowns);
@@ -93,6 +85,7 @@ StampedSystem make_system(spice::SyntheticTopology topology, int nodes,
     for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, 1e-12);
   }
   out.sparse.freeze_pattern();
+  if (with_dense) out.dense = out.sparse.to_dense();
   return out;
 }
 
@@ -394,8 +387,6 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
      << "  \"bench\": \"bench_sparse_solve\",\n"
      << "  \"kernel\": \"MNA refactor+solve per Newton iteration\",\n"
      << "  \"measured_crossover_unknowns\": " << crossover << ",\n"
-     << "  \"auto_threshold_default\": "
-     << spice::NewtonOptions{}.sparse_threshold << ",\n"
      << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CrossoverRow& r = rows[i];
@@ -464,15 +455,10 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
   bench::emit(t, "sparse_crossover.csv");
 
   const int crossover = crossover_unknowns(rows);
-  const int threshold = spice::NewtonOptions{}.sparse_threshold;
   std::printf(
       "\nmeasured crossover: sparse wins from <= %d unknowns on the "
-      "refactor+solve kernel.\n"
-      "NewtonOptions auto threshold = %d -- deliberately above the kernel "
-      "crossover so the\npaper's small bandgap cells keep the dense "
-      "engine's bit-exact legacy behaviour;\nlower options.sparse_threshold "
-      "(or force SparseMode::kSparse) to claim the win earlier.\n",
-      crossover, threshold);
+      "refactor+solve kernel.\n",
+      crossover);
 
   // Crossover gate: >= 3x on a >= 500-node netlist.
   bool gate_ok = true;
@@ -596,9 +582,7 @@ void BM_SparseSessionDcSolve(benchmark::State& state) {
   spec.topology = spice::SyntheticTopology::kMesh;
   spec.nodes = static_cast<int>(state.range(0));
   auto parsed = spice::parse_netlist(spice::generate_netlist(spec));
-  spice::NewtonOptions opt;
-  opt.sparse = spice::SparseMode::kSparse;
-  spice::SimSession session(*parsed.circuit, opt);
+  spice::SimSession session(*parsed.circuit);
   auto& v1 = parsed.circuit->get<spice::VoltageSource>("V1");
   (void)session.solve_or_throw();
   double dv = 0.0;

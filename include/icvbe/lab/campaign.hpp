@@ -27,11 +27,7 @@ struct CampaignConfig {
   bool ideal_thermal = false;      ///< true: die temperature == chamber
   bandgap::TestCellParams cell;    ///< cell electricals (models overwritten
                                    ///< from the DieSample)
-  /// Solver options for every measurement rig the laboratory builds. The
-  /// default (auto engine selection) keeps historical behaviour. The
-  /// batched lot path (LotCampaignConfig::lanes) needs the sparse engine
-  /// here: it runs the Laboratory's measurement steps on sparse batch
-  /// solves, and dense and sparse LU round differently.
+  /// Solver options for every measurement rig the laboratory builds.
   spice::NewtonOptions newton;
 };
 

@@ -28,9 +28,7 @@ struct LotCampaignConfig {
   /// batches per worker, sharing one sparse pattern + symbolic analysis
   /// per rig and carrying all lanes through each LU refactor/solve
   /// together (BatchDcSession) instead of building fresh circuits and
-  /// sessions per die. Requires lab.newton.sparse == kSparse (the batch
-  /// engine is sparse, so the per-die path must solve on the same
-  /// engine). 0 or 1 = classic per-die path. Both paths measure and
+  /// sessions per die. 0 or 1 = classic per-die path. Both paths measure and
   /// extract through the same per-die steps, so results are bit-identical
   /// for any lanes value and any thread count (asserted by test_lot_batch
   /// and bench_lot_statistics).
@@ -120,10 +118,7 @@ class LotCampaign {
   /// extracts it; only the solves are batched. Any lane that leaves the
   /// lockstep (pivot rejection, non-convergence in plain Newton, any
   /// measurement error) falls back to run_die() for that die, so every
-  /// result is bit-identical to run() with lanes == 0 under the same
-  /// (sparse-forced) solver options.
-  /// \pre config().lab.newton.sparse == SparseMode::kSparse (throws
-  ///      Error otherwise).
+  /// result is bit-identical to run() with lanes == 0.
   [[nodiscard]] std::vector<DieCharacterisation> run_batched() const;
 
   /// Characterise a single die (what each worker runs). Deterministic in

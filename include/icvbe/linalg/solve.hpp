@@ -1,7 +1,8 @@
 #pragma once
-// Direct dense solvers: LU with partial pivoting (square systems, MNA --
-// scalar-generic, double for DC/transient and complex for AC) and
-// Householder QR (least squares, fitting -- real-only).
+// Direct dense solvers: LU with partial pivoting (square systems; the
+// fitting library and the reference the sparse MNA engine is tested
+// against -- scalar-generic, double for DC/transient and complex for AC)
+// and Householder QR (least squares, fitting -- real-only).
 
 #include "icvbe/linalg/matrix.hpp"
 

@@ -4,11 +4,10 @@
 // reusable symbolic analysis. Generic over the scalar type (double for
 // DC/transient Newton systems, Complex for small-signal AC systems).
 //
-// The dense workspace solver (matrix.hpp / solve.hpp) is ideal for the
-// paper's tens-of-node bandgap cells but stores O(n^2) and refactors in
-// O(n^3). The netlist parser happily ingests thousands of nodes, where an
-// MNA matrix has a handful of entries per row; this header provides the
-// engine SimSession switches to above NewtonOptions::sparse_threshold.
+// The dense solver (matrix.hpp / solve.hpp) stores O(n^2) and refactors
+// in O(n^3). An MNA matrix has a handful of entries per row, from the
+// paper's 7-unknown test cell to 1e5-node decks; this header provides the
+// one engine every SimSession factors with, whatever the circuit size.
 //
 // Lifecycle, mirroring the dense workspace-reuse discipline:
 //  1. building: SparseMatrixT::add(r, c, v) records coordinates (one
@@ -36,10 +35,12 @@
 // set-based minimum-degree path survives behind SparseOptions::legacy()
 // for A/B gating (bench_sparse_solve, test_sparse_ordering).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "icvbe/common/error.hpp"
 #include "icvbe/linalg/matrix.hpp"
 
 namespace icvbe::linalg {
@@ -128,10 +129,19 @@ class SparseMatrixT {
   /// CSR slot of (r, c) (frozen only); throws Error if outside the
   /// pattern. Binary search over the (short, sorted) row -- the same
   /// lookup frozen add() uses, exposed so SparseValueBatchT can stamp
-  /// lane planes against this pattern.
-  [[nodiscard]] std::size_t slot(std::size_t r, std::size_t c) const;
+  /// lane planes against this pattern. Inline: every device stamp entry
+  /// of every Newton iteration goes through it.
+  [[nodiscard]] std::size_t slot(std::size_t r, std::size_t c) const {
+    ICVBE_REQUIRE(r < rows_ && c < cols_, "SparseMatrix::add: out of range");
+    const int* first = col_index_.data() + row_ptr_[r];
+    const int* last = col_index_.data() + row_ptr_[r + 1];
+    const int* it = std::lower_bound(first, last, static_cast<int>(c));
+    if (it == last || *it != static_cast<int>(c)) outside_pattern();
+    return static_cast<std::size_t>(it - col_index_.data());
+  }
 
  private:
+  [[noreturn]] static void outside_pattern();
   void add_building(std::size_t r, std::size_t c, Scalar v);
 
   std::size_t rows_ = 0;
@@ -335,8 +345,6 @@ struct BtfDecomposition {
 ///    per iteration. Identical input yields identical factors, so the
 ///    skip never changes a result.
 ///
-/// API mirrors the dense LuFactorizationT so SimSession can hold either.
-///
 /// Thread-safety: refactor() mutates the cached factors; solve_in_place()
 /// is const but uses an internal permutation buffer, so concurrent solves
 /// on ONE instance are racy. One instance per thread (the plan-worker
@@ -357,8 +365,9 @@ class SparseLuFactorizationT {
   ///      non-finite input throws NumericalError deterministically here,
   ///      never surfacing at the first solve).
   /// \post the factors match this matrix's values; a frozen-pivot
-  ///       collapse or runaway element growth re-ran the analysis with
-  ///       fresh pivoting (allocates; analysis_count() increments).
+  ///       collapse (a pivot below ~sqrt(eps) of its column's max|A|) or
+  ///       runaway element growth re-ran the analysis with fresh pivoting
+  ///       (allocates; analysis_count() increments).
   /// Early return: if the last call succeeded, the cached analysis still
   /// stands (no invalidate_analysis() or option change since), `a` has the
   /// analysed pattern_stamp(), pivot_tol is the same and memcmp finds the
@@ -445,8 +454,8 @@ class SparseLuFactorizationT {
   ///      perturb its lane mates' factors.
   /// \param lane_ok in: lanes to factor (non-zero entries); out: 1 iff
   ///        that lane factored cleanly -- finite values, non-zero matrix,
-  ///        every frozen pivot above pivot_tol times the lane's own
-  ///        column max, bounded element growth. Size must equal
+  ///        every frozen pivot above max(pivot_tol, ~sqrt(eps)) times
+  ///        the lane's own column max, bounded element growth. Size must equal
   ///        batch.lanes(). The caller re-runs failed lanes through the
   ///        scalar path (which may re-analyse with fresh pivoting).
   /// Allocation-free once called with a given (analysis, lane-count)
@@ -552,7 +561,6 @@ class SparseLuFactorizationT {
   int numeric_refactor_count_ = 0;
   SparseOptions options_{};
   std::size_t btf_blocks_ = 0;  ///< diagonal blocks of the analysed pattern
-  double a_norm1_ = 0.0;  ///< 1-norm of the last refactored A
 
   // Identity of the analysed pattern (SparseMatrixT::pattern_stamp is
   // process-unique per freeze, so equality means the same frozen CSR).
@@ -606,6 +614,7 @@ class SparseLuFactorizationT {
   // the copy never allocates; factored_valid_ is cleared on entry to
   // refactor() and set only once factors_ holds these values' factors.
   std::vector<Scalar> factored_vals_;
+  std::vector<int> factored_cols_;  ///< column of each factored_vals_ slot
   double factored_pivot_tol_ = 0.0;
   bool factored_valid_ = false;
 

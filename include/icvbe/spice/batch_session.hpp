@@ -59,8 +59,7 @@ struct BatchLaneStatus {
 class BatchDcSession {
  public:
   /// Bind to `lanes` circuits. Runs one pattern-discovery stamp pass on
-  /// lane 0 and preallocates every buffer; the sparse batch engine is
-  /// always used (that is the point), regardless of options.sparse.
+  /// lane 0 and preallocates every buffer.
   /// \pre all lanes share the topology of lane 0 and outlive the session.
   explicit BatchDcSession(std::vector<Circuit*> lanes,
                           NewtonOptions options = {});

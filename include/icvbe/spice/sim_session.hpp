@@ -24,14 +24,11 @@
 
 namespace icvbe::spice {
 
-/// Linear-engine selection for a session. kAuto compares the unknown count
-/// against NewtonOptions::sparse_threshold at bind time; the choice is
-/// fixed until rebind() (and inherited by the per-thread clones of a
-/// parallel plan run, so results stay bit-identical for any thread count).
+/// The session's linear engine. Every session factors its MNA system with
+/// the sparse LU (a cached symbolic analysis, threshold pivoting frozen
+/// after the first factorisation), whatever the circuit size.
 enum class SparseMode {
-  kAuto,    ///< sparse iff unknowns >= sparse_threshold (default)
-  kDense,   ///< always the dense workspace LU
-  kSparse,  ///< always the CSR engine with cached symbolic analysis
+  kSparse,  ///< the CSR engine with cached symbolic analysis
 };
 
 struct NewtonOptions {
@@ -43,11 +40,7 @@ struct NewtonOptions {
   double gmin_floor = 1e-12;     ///< final gmin left in the matrix
   int gmin_steps = 8;            ///< decades of gmin ramp when needed
   int source_steps = 10;         ///< source-stepping ramp points when needed
-  SparseMode sparse = SparseMode::kAuto;  ///< linear engine selection
-  /// Unknown count at/above which kAuto picks the sparse engine. The
-  /// default tracks the measured dense/sparse crossover on generated
-  /// netlists (bench_sparse_solve; see results/BENCH_sparse.json).
-  int sparse_threshold = 64;
+  SparseMode sparse = SparseMode::kSparse;  ///< linear engine (one value)
   /// Symbolic-path knobs for the sparse engine (ordering, BTF, supernode
   /// thresholds). Applied to every sparse factorization the session owns
   /// (real DC/TRAN, complex AC, batched lanes) at bind/rebind time.
@@ -89,8 +82,7 @@ class RunObserver;
 class SimSession {
  public:
   /// Bind to `circuit`, assign unknowns, and preallocate every buffer the
-  /// Newton loop needs (including the one-pass sparse pattern discovery
-  /// when the CSR engine is selected).
+  /// Newton loop needs (including the one-pass sparse pattern discovery).
   /// \pre `circuit` has at least one non-ground node or aux unknown, and
   ///      outlives the session.
   /// \post unknown indices are assigned; adding devices or nodes
@@ -101,19 +93,13 @@ class SimSession {
   SimSession& operator=(const SimSession&) = delete;
 
   /// Re-assign unknowns and re-size the workspace after a topology change.
-  /// \post the warm start is invalidated; the linear engine is re-chosen
-  ///       from options() (auto threshold against the new unknown count)
-  ///       and the idle engine's storage is released.
+  /// \post the warm start is invalidated; the sparse pattern is
+  ///       re-discovered and the AC engine's storage is released.
   void rebind();
 
   [[nodiscard]] Circuit& circuit() noexcept { return *circuit_; }
   [[nodiscard]] const Circuit& circuit() const noexcept { return *circuit_; }
   [[nodiscard]] int unknown_count() const noexcept { return n_unknowns_; }
-  /// True if this session bound the sparse CSR engine (decided at
-  /// construction / rebind() from options().sparse and sparse_threshold).
-  [[nodiscard]] bool uses_sparse_engine() const noexcept {
-    return use_sparse_;
-  }
   [[nodiscard]] NewtonOptions& options() noexcept { return options_; }
   [[nodiscard]] const NewtonOptions& options() const noexcept {
     return options_;
@@ -144,19 +130,18 @@ class SimSession {
   /// or an explicitly seeded warm start (seed_warm_start); if neither
   /// exists, the operating point is solved first (solve_or_throw).
   ///
-  /// Every device stamps its linearised complex admittance at the OP
-  /// through the engine the session bound at rebind time: the dense
-  /// complex workspace below the sparse threshold, or a complex CSR
-  /// matrix whose frozen pattern is discovered once and whose LU reuses
-  /// one cached symbolic analysis across the whole frequency sweep. The
-  /// gmin_floor diagonal is included, mirroring the DC system.
+  /// Every device stamps its linearised complex admittance at the OP into
+  /// a complex CSR matrix whose frozen pattern is discovered once and
+  /// whose LU reuses one cached symbolic analysis across the whole
+  /// frequency sweep. The gmin_floor diagonal is included, mirroring the
+  /// DC system.
   ///
   /// Returns the complex unknown phasors (node voltages then aux branch
   /// currents), session-owned and valid until the next solve_ac call.
   /// Allocation guarantee: after the first solve_ac at a given size (which
-  /// materialises the complex engine and, for sparse, runs the symbolic
-  /// analysis), further calls perform zero heap allocations (asserted by
-  /// test_ac via the counting operator-new hook).
+  /// materialises the complex engine and runs the symbolic analysis),
+  /// further calls perform zero heap allocations (asserted by test_ac via
+  /// the counting operator-new hook).
   /// Throws NumericalError if the AC system is singular.
   const linalg::ComplexVector& solve_ac(double omega);
 
@@ -209,6 +194,10 @@ class SimSession {
 
   /// Execute a declarative AnalysisPlan (defined in plan.hpp).
   ///
+  /// A sweep plan on a session that has not factored yet first primes its
+  /// sparse analysis at the circuit's un-swept values (prime_analysis), so
+  /// the pivots are those a fresh session's OP, AC or TRAN run would pick
+  /// and never those of the sweep's first grid point.
   /// Points along the innermost axis warm-start from their predecessor.
   /// 1-axis plans run in place and inherit the session's current
   /// continuation state (exactly like sweep()). For 2-axis plans every
@@ -253,6 +242,17 @@ class SimSession {
   /// One Newton attempt at fixed gmin; allocation-free. Returns true on
   /// convergence; x holds the final iterate either way.
   bool newton_attempt(double gmin, Unknowns& x, int& iterations);
+  /// Stamp the DC system at iterate x into (sa_, b_), gmin on every node
+  /// diagonal.
+  void stamp_dc(const Unknowns& x, double gmin);
+
+  /// Factor the DC system once at the circuit's current values from the
+  /// start point solve() would take (the warm start, else zero) with
+  /// gmin_floor, then wipe device limiting state: the matrix a fresh
+  /// session's first solve factors, so the threshold pivots frozen here
+  /// are a function of the circuit and the seed alone. A system singular
+  /// at that state leaves the analysis to the first solve.
+  void prime_analysis();
 
   /// AC-plan execution (defined with the rest of the plan machinery in
   /// plan.cpp). \pre plan.ac is set and plan.axes is empty.
@@ -270,29 +270,21 @@ class SimSession {
   int node_unknowns_ = 0;
   std::size_t bound_device_count_ = 0;
 
-  // Exactly one linear engine is live per bind: the dense workspace pair
-  // (a_, lu_) below threshold, the CSR pair (sa_, slu_) above it. The idle
-  // engine's storage is released at rebind() -- a 5000-unknown session
-  // must not carry a 200 MB dense matrix it never factors.
-  bool use_sparse_ = false;
-  linalg::Matrix a_;
+  // The CSR system and its LU, the pattern discovered once at rebind().
   linalg::Vector b_;
   linalg::Vector x_new_;
-  linalg::LuFactorization lu_;
   linalg::SparseMatrix sa_;
   linalg::SparseLuFactorization slu_;
 
-  // Complex twin of the bound engine for AC solves, materialised lazily by
-  // the first solve_ac() (a DC-only session never pays for it) and
-  // released at rebind(). The sparse pattern is discovered by one
-  // stamp_ac pass, then frozen -- the same build-once discipline as sa_.
+  // Complex twin for AC solves, materialised lazily by the first
+  // solve_ac() (a DC-only session never pays for it) and released at
+  // rebind(). The pattern is discovered by one stamp_ac pass, then frozen
+  // -- the same build-once discipline as sa_.
   bool ac_ready_ = false;
-  linalg::ComplexMatrix ca_;
   linalg::ComplexVector cb_;
-  linalg::ComplexLuFactorization clu_;
   linalg::ComplexSparseMatrix csa_;
   linalg::ComplexSparseLuFactorization cslu_;
-  // The sparse symbolic analysis is pinned to the first frequency a
+  // The symbolic analysis is pinned to the first frequency a
   // session stamped (the sweep's "prime"): if a later point's refactor
   // collapsed the frozen pivots and re-analysed, the next solve_ac
   // re-pins at this omega first, so every point's factorisation is a

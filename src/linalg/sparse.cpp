@@ -78,15 +78,8 @@ void SparseMatrixT<Scalar>::add_building(std::size_t r, std::size_t c,
 }
 
 template <typename Scalar>
-std::size_t SparseMatrixT<Scalar>::slot(std::size_t r, std::size_t c) const {
-  ICVBE_REQUIRE(r < rows_ && c < cols_, "SparseMatrix::add: out of range");
-  const int* first = col_index_.data() + row_ptr_[r];
-  const int* last = col_index_.data() + row_ptr_[r + 1];
-  const int* it = std::lower_bound(first, last, static_cast<int>(c));
-  if (it == last || *it != static_cast<int>(c)) {
-    throw Error("SparseMatrix::add: entry outside the frozen pattern");
-  }
-  return static_cast<std::size_t>(it - col_index_.data());
+void SparseMatrixT<Scalar>::outside_pattern() {
+  throw Error("SparseMatrix::add: entry outside the frozen pattern");
 }
 
 template <typename Scalar>
@@ -1159,6 +1152,7 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
   factors_.work.assign(n, Scalar{});
   factors_.shape(1, n, l_nnz, u_nnz, bdim * bdim, off_a_idx_.size());
   factored_vals_.resize(values.size());
+  factored_cols_ = a.col_index();
   pattern_stamp_ = a.pattern_stamp();
   analyzed_ = true;
   ++analysis_count_;
@@ -1175,6 +1169,15 @@ namespace {
 /// scalar caller re-analyses with fresh pivoting (partial pivoting keeps
 /// growth within ~2^n theory, single digits in practice).
 constexpr double kGrowthLimit = 1e8;
+
+/// Pivot floor of the frozen pass, relative to the pivot's column max|A|
+/// (about sqrt(eps)). The analysis picked each pivot at >= 0.5 of its
+/// active column; a restamp that shrinks a frozen pivot below this floor
+/// costs the solve about half its working digits (a Newton loop on a
+/// high-gain amplifier cell then wanders instead of converging), so the
+/// pass fails and the caller pivots afresh, as dense partial pivoting
+/// would. pivot_tol stays the analysis's singularity floor.
+constexpr double kFrozenPivotFloor = 1e-8;
 
 /// Lane-op policy: plain per-lane loops, one op per inner loop of the
 /// elimination kernels. KC > 0 pins the lane count at compile time; KC ==
@@ -1675,9 +1678,10 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
   }
 
   ++numeric_refactor_count_;
-  if (!(pattern_matches(a) && refactor_batch_kernel<Unit>(
-                                  a, vals, factors_, &ok, pivot_tol,
-                                  /*early_abort=*/true))) {
+  if (!(pattern_matches(a) &&
+        refactor_batch_kernel<Unit>(a, vals, factors_, &ok,
+                                    std::max(pivot_tol, kFrozenPivotFloor),
+                                    /*early_abort=*/true))) {
     // First factorisation, new pattern, or a frozen pivot collapsed: run
     // the full analysis with fresh pivoting. The analysis fixes the pivot
     // order and the pattern only; the factor values always come from the
@@ -1691,19 +1695,6 @@ void SparseLuFactorizationT<Scalar>::refactor(const SparseMatrixT<Scalar>& a,
     (void)refactor_batch_kernel<Unit>(a, vals, factors_, &ok, pivot_tol,
                                       /*early_abort=*/false);
   }
-
-  // 1-norm of A for condition_estimate(). The solve buffer (sized by the
-  // analysis above) is free between solves -- solve_in_place overwrites it
-  // fully -- so borrowing it keeps refactor() allocation-free. Magnitude
-  // sums are non-negative reals, so they live in the scalar's real part.
-  std::vector<Scalar>& colsum = factors_.perm;
-  std::fill(colsum.begin(), colsum.end(), Scalar{});
-  const std::vector<int>& cols = a.col_index();
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    colsum[static_cast<std::size_t>(cols[i])] += Scalar(scalar_abs(vals[i]));
-  }
-  a_norm1_ = 0.0;
-  for (const Scalar& s : colsum) a_norm1_ = std::max(a_norm1_, scalar_abs(s));
 
   std::memcpy(factored_vals_.data(), vals, nnz * sizeof(Scalar));
   factored_pivot_tol_ = pivot_tol;
@@ -1853,9 +1844,9 @@ void SparseLuFactorizationT<Scalar>::refactor_batch(
       lane_ok[l] = static_cast<unsigned char>(
           lane_ok[l] & (batch_.cap[l] > 0.0 ? 1 : 0));
     }
-    (void)refactor_batch_kernel<Ops>(batch.pattern(), vals, batch_,
-                                     lane_ok.data(), pivot_tol,
-                                     /*early_abort=*/false);
+    (void)refactor_batch_kernel<Ops>(
+        batch.pattern(), vals, batch_, lane_ok.data(),
+        std::max(pivot_tol, kFrozenPivotFloor), /*early_abort=*/false);
   });
 }
 
@@ -1928,7 +1919,15 @@ VectorT<Scalar> SparseLuFactorizationT<Scalar>::solve(
 
 template <typename Scalar>
 double SparseLuFactorizationT<Scalar>::condition_estimate() const {
-  ICVBE_REQUIRE(analyzed_, "sparse LU: refactor() before condition_estimate");
+  ICVBE_REQUIRE(analyzed_ && factored_valid_,
+                "sparse LU: refactor() before condition_estimate");
+  // 1-norm of the factored A, from the copy refactor() keeps of its input.
+  std::vector<double> colsum(n_, 0.0);
+  for (std::size_t i = 0; i < factored_vals_.size(); ++i) {
+    colsum[static_cast<std::size_t>(factored_cols_[i])] +=
+        scalar_abs(factored_vals_[i]);
+  }
+  const double a_norm1 = *std::max_element(colsum.begin(), colsum.end());
   // Probe |A^-1| by solving against the same +/-1 vectors the dense
   // LuFactorizationT uses and taking the largest column-sum growth; cheap
   // and adequate for diagnostics, and directly comparable across engines.
@@ -1944,7 +1943,7 @@ double SparseLuFactorizationT<Scalar>::condition_estimate() const {
     for (const Scalar& v : x) s += scalar_abs(v);
     inv_norm = std::max(inv_norm, s / static_cast<double>(n_));
   }
-  return a_norm1_ * inv_norm;
+  return a_norm1 * inv_norm;
 }
 
 template class SparseLuFactorizationT<double>;

@@ -226,6 +226,11 @@ MosfetModel parse_mosfet_model(const std::map<std::string, double>& p,
   return m;
 }
 
+/// The most steps a deck's sweep or frequency grid may ask for: a NaN or
+/// infinite bound never ends a grid, and a mistyped scale suffix (10g for
+/// 10) asks for gigabytes of points.
+constexpr double kMaxSweepSteps = 1e7;
+
 /// start, start+incr, ... up to stop (inclusive within a tolerance), the
 /// SPICE .DC / .STEP stepping rule.
 std::vector<double> stepped_values(double start, double stop, double incr,
@@ -233,10 +238,7 @@ std::vector<double> stepped_values(double start, double stop, double incr,
   if (incr == 0.0 || (stop - start) * incr < 0.0) {
     fail(line, "sweep increment must step from start towards stop");
   }
-  // A NaN or infinite bound never meets the stop test below, and a tiny
-  // increment (a mistyped scale suffix) asks for gigabytes of points.
-  constexpr double kMaxSteps = 1e7;
-  if (!((stop - start) / incr <= kMaxSteps)) {
+  if (!((stop - start) / incr <= kMaxSweepSteps)) {
     fail(line, "sweep needs finite values and at most 10000001 points");
   }
   const double eps = 1e-9 * std::abs(incr);
@@ -249,6 +251,29 @@ std::vector<double> stepped_values(double start, double stop, double incr,
     values.push_back(v);
   }
   return values;
+}
+
+/// A point count from a card (points per decade, .AC points): a number
+/// from 1 to the sweep cap, so its conversion to int is defined.
+int parse_point_count(std::string_view token, int line) {
+  const double v = parse_spice_number(token);
+  if (!(v >= 1.0 && v <= kMaxSweepSteps)) {
+    fail(line, "point count must be a number from 1 to 10000000");
+  }
+  return static_cast<int>(v);
+}
+
+/// Rejects a logarithmic grid of `per_span` points per `base`-fold span
+/// that would step past the sweep cap from `start` to `stop`. Bounds the
+/// grid constructors reject themselves (start <= 0, stop < start, NaN)
+/// are left to their own messages.
+void check_log_grid(double start, double stop, double base, int per_span,
+                    int line) {
+  if (!(start > 0.0 && stop >= start)) return;
+  const double steps = per_span * std::log(stop / start) / std::log(base);
+  if (!(steps <= kMaxSweepSteps)) {
+    fail(line, "sweep needs finite values and at most 10000001 points");
+  }
 }
 
 /// Parse the value part of a V/I source card starting at tokens[i]: either
@@ -527,12 +552,13 @@ ParsedNetlist parse_netlist(std::string_view text) {
         if (tokens.size() != 6) {
           fail(lineno, ".STEP DEC needs <start> <stop> <points-per-decade>");
         }
+        const double start = parse_spice_number(tokens[3]);
+        const double stop = parse_spice_number(tokens[4]);
+        const int per_decade = parse_point_count(tokens[5], lineno);
+        check_log_grid(start, stop, 10.0, per_decade, lineno);
         try {
           step_axis = axis_for_target(
-              target,
-              SweepGrid::log_decades(
-                  parse_spice_number(tokens[3]), parse_spice_number(tokens[4]),
-                  static_cast<int>(parse_spice_number(tokens[5]))),
+              target, SweepGrid::log_decades(start, stop, per_decade),
               lineno);
         } catch (const PlanError& e) {
           fail(lineno, e.what());
@@ -631,9 +657,14 @@ ParsedNetlist parse_netlist(std::string_view text) {
         fail(lineno, ".AC: unknown sweep form '" + std::string(tokens[1]) +
                          "' (want DEC, OCT, or LIN)");
       }
-      spec.points = static_cast<int>(parse_spice_number(tokens[2]));
+      spec.points = parse_point_count(tokens[2], lineno);
       spec.fstart = parse_spice_number(tokens[3]);
       spec.fstop = parse_spice_number(tokens[4]);
+      if (spec.spacing != AcSpec::Spacing::kLinear) {
+        check_log_grid(spec.fstart, spec.fstop,
+                       spec.spacing == AcSpec::Spacing::kDecade ? 10.0 : 2.0,
+                       spec.points, lineno);
+      }
       try {
         (void)spec.frequencies();  // validate now, with line context
       } catch (const PlanError& e) {

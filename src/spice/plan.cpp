@@ -1281,13 +1281,10 @@ SweepResult SimSession::run_ac(const AnalysisPlan& plan,
   // sparse symbolic analysis at the sweep's FIRST frequency -- otherwise
   // the threshold pivoting would run at whichever point a worker happened
   // to draw first and the factor could differ across schedules.
-  NewtonOptions worker_options = plan.options;
-  worker_options.sparse =
-      use_sparse_ ? SparseMode::kSparse : SparseMode::kDense;
   std::atomic<std::size_t> next{0};
   common::fan_out(threads, [&]() {
     Circuit clone = circuit_->clone();
-    SimSession session(clone, worker_options);
+    SimSession session(clone, plan.options);
     session.seed_warm_start(op);
     const CompiledProbeSet probes(plan.probes, clone, ProbeDomain::kAc);
     std::vector<double> probe_row(plan.probes.size(), 0.0);
@@ -1413,6 +1410,18 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
   const Unknowns row_seed = seeded ? result_.solution : Unknowns{};
   const Unknowns* seed = seeded ? &row_seed : nullptr;
 
+  // History independence: the first factorisation of a session that has
+  // none happens here, at the un-swept circuit from the run's start point
+  // -- the matrix a fresh session's OP, AC or TRAN run factors first --
+  // and never at whichever grid point comes first. Every other executor
+  // of this run (threaded workers, the lane batch, solo reruns) primes
+  // the same way, so their pivots are a function of (circuit, seed).
+  if (slu_.analysis_count() == 0) prime_analysis();
+  const auto primed_executor = [&](SimSession& session) {
+    if (seed != nullptr) session.seed_warm_start(*seed);
+    session.prime_analysis();
+  };
+
   if (!two_axis) {
     // Single axis: run in place, inheriting the session's continuation
     // state -- identical semantics to sweep().
@@ -1427,14 +1436,11 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
   // Batched outer-row fanout (.STEP corner families): workers claim
   // lanes-wide groups of rows and drive them through one BatchDcSession --
   // one symbolic analysis and one K-wide LU refactor/solve per Newton
-  // iteration instead of per-row scalar factorisations. Sparse engine
-  // only (the batch kernel is sparse, and mixing engines would break
-  // bit-identity with the scalar path); a row whose lane leaves the
-  // lockstep is re-run through the ordinary scalar row path on its clone,
-  // which is exactly what the per-row fallback ladder would have done.
-  if (plan.lanes > 1 && use_sparse_) {
-    NewtonOptions lane_options = plan.options;
-    lane_options.sparse = SparseMode::kSparse;
+  // iteration instead of per-row scalar factorisations. A row whose lane
+  // leaves the lockstep is re-run through the ordinary scalar row path on
+  // a fresh executor, which is exactly what the per-row fallback ladder
+  // would have done.
+  if (plan.lanes > 1) {
     const auto lane_w = std::min<std::size_t>(plan.lanes, outer_n);
     const std::size_t groups = (outer_n + lane_w - 1) / lane_w;
     unsigned lane_threads = common::resolve_thread_count(plan.threads);
@@ -1455,14 +1461,11 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
         ptrs.push_back(&clones[l]);
         bounds.emplace_back(plan, clones[l]);
       }
-      BatchDcSession batch(std::move(ptrs), lane_options);
-      // Deterministic prime: row 0's first point start state -- a pure
-      // function of (circuit, plan), so the pinned pivot sequence never
-      // depends on which worker claims which group.
+      BatchDcSession batch(std::move(ptrs), plan.options);
+      // Deterministic prime: lane 0's un-swept clone from the run's start
+      // point, the state every scalar executor primes at.
       batch.begin_variant(0);
       if (seed != nullptr) batch.seed_warm_start(0, *seed);
-      bounds[0].outer.apply(out.outer_[0]);
-      bounds[0].inner.apply(out.inner_[0]);
       batch.prime(0);
 
       std::vector<std::size_t> row(lane_w, 0);
@@ -1518,8 +1521,13 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
         }
         for (std::size_t l = 0; l < group_size; ++l) {
           if (!solo[l]) continue;
-          SimSession solo_session(clones[l], lane_options);
-          run_outer_row(solo_session, bounds[l], plan, out.inner_, row[l],
+          // A fresh un-swept clone: the lane's clone holds swept values,
+          // and a circuit without a temperature cannot be un-swept.
+          Circuit solo_clone = circuit_->clone();
+          SimSession solo_session(solo_clone, plan.options);
+          BoundPlan solo_bound(plan, solo_clone);
+          primed_executor(solo_session);
+          run_outer_row(solo_session, solo_bound, plan, out.inner_, row[l],
                         out.outer_[row[l]], seed, columns, stream);
         }
       }
@@ -1539,18 +1547,15 @@ SweepResult SimSession::run(const AnalysisPlan& plan, RunObserver* observer) {
   // Parallel outer fanout over per-thread circuit clones: workers pull row
   // indices from a shared counter and write only their own preallocated
   // slots (the LotCampaign discipline) -- scheduling decides who computes
-  // a row, never what it yields. Workers are pinned to this session's
-  // bind-time linear engine: dense and sparse LU round differently, so a
-  // thread-count-dependent engine choice would break bit-identity with
-  // the serial path.
-  NewtonOptions worker_options = plan.options;
-  worker_options.sparse =
-      use_sparse_ ? SparseMode::kSparse : SparseMode::kDense;
+  // a row, never what it yields. Each worker primes its analysis at the
+  // un-swept clone, as a fresh session does, never at the row it draws
+  // first.
   std::atomic<std::size_t> next{0};
   common::fan_out(threads, [&]() {
     Circuit clone = circuit_->clone();
-    SimSession session(clone, worker_options);
+    SimSession session(clone, plan.options);
     BoundPlan bound(plan, clone);
+    primed_executor(session);
     for (;;) {
       if (stream.cancelled.load(std::memory_order_relaxed)) break;
       const std::size_t o = next.fetch_add(1, std::memory_order_relaxed);

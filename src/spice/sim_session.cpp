@@ -27,43 +27,26 @@ void SimSession::rebind() {
   result_.solution = Unknowns(n);
   have_last_ = false;
 
-  // Linear-engine choice, fixed until the next rebind. Only the chosen
-  // engine's storage is materialised.
-  use_sparse_ =
-      options_.sparse == SparseMode::kSparse ||
-      (options_.sparse == SparseMode::kAuto &&
-       n_unknowns_ >= options_.sparse_threshold);
-  if (use_sparse_) {
-    a_ = linalg::Matrix();
-    lu_ = linalg::LuFactorization();
-    slu_ = linalg::SparseLuFactorization();
-    slu_.set_options(options_.sparse_options);
-    // Pattern discovery: one stamp pass registers every (row, col) a
-    // device can touch -- stamped values are irrelevant (a zero value
-    // still registers its slot), so the zero iterate works. The gmin
-    // diagonal slots are part of the pattern too.
-    sa_.resize(n, n);
-    Stamper st(sa_, b_, node_unknowns_);
-    for (const auto& dev : circuit_->devices()) dev->stamp(st, x_);
-    for (int i = 0; i < node_unknowns_; ++i) st.add_entry(i, i, 0.0);
-    sa_.freeze_pattern();
-    // The discovery pass ran device limiting at the zero iterate; wipe
-    // that memory and the scratch RHS so the first real solve starts
-    // clean.
-    for (const auto& dev : circuit_->devices()) dev->reset_state();
-    std::fill(b_.begin(), b_.end(), 0.0);
-  } else {
-    sa_ = linalg::SparseMatrix();
-    slu_ = linalg::SparseLuFactorization();
-    a_.resize(n, n);
-  }
+  slu_ = linalg::SparseLuFactorization();
+  slu_.set_options(options_.sparse_options);
+  // Pattern discovery: one stamp pass registers every (row, col) a device
+  // can touch -- stamped values are irrelevant (a zero value still
+  // registers its slot), so the zero iterate works. The gmin diagonal
+  // slots are part of the pattern too.
+  sa_.resize(n, n);
+  Stamper st(sa_, b_, node_unknowns_);
+  for (const auto& dev : circuit_->devices()) dev->stamp(st, x_);
+  for (int i = 0; i < node_unknowns_; ++i) st.add_entry(i, i, 0.0);
+  sa_.freeze_pattern();
+  // The discovery pass ran device limiting at the zero iterate; wipe that
+  // memory and the scratch RHS so the first real solve starts clean.
+  for (const auto& dev : circuit_->devices()) dev->reset_state();
+  std::fill(b_.begin(), b_.end(), 0.0);
 
   // Release the complex AC engine; the next solve_ac() rebuilds it at the
-  // new size (and re-discovers the sparse pattern).
+  // new size (and re-discovers its pattern).
   ac_ready_ = false;
-  ca_ = linalg::ComplexMatrix();
   cb_ = linalg::ComplexVector();
-  clu_ = linalg::ComplexLuFactorization();
   csa_ = linalg::ComplexSparseMatrix();
   cslu_ = linalg::ComplexSparseLuFactorization();
   cslu_.set_options(options_.sparse_options);
@@ -94,6 +77,30 @@ void SimSession::seed_warm_start(const Unknowns& x) {
   }
 }
 
+void SimSession::stamp_dc(const Unknowns& x, double gmin) {
+  sa_.fill(0.0);
+  std::fill(b_.begin(), b_.end(), 0.0);
+  Stamper st(sa_, b_, node_unknowns_);
+  for (const auto& dev : circuit_->devices()) dev->stamp(st, x);
+  for (int i = 0; i < node_unknowns_; ++i) st.add_entry(i, i, gmin);
+}
+
+void SimSession::prime_analysis() {
+  if (warm_start_enabled_ && have_last_) {
+    x_ = result_.solution;
+  } else {
+    std::fill(x_.raw().begin(), x_.raw().end(), 0.0);
+  }
+  stamp_dc(x_, options_.gmin_floor);
+  try {
+    slu_.refactor(sa_);
+  } catch (const NumericalError&) {
+    // Singular at the start state: the first solve's fallback ladder
+    // meets the same matrix and analyses where it can.
+  }
+  for (const auto& dev : circuit_->devices()) dev->reset_state();
+}
+
 bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
   const int n_unknowns = n_unknowns_;
   const int node_unknowns = node_unknowns_;
@@ -101,29 +108,14 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
 
   for (int iter = 0; iter < opt.max_iterations; ++iter) {
     ++iterations;
-    linalg::MatrixView a = use_sparse_ ? linalg::MatrixView(sa_)
-                                       : linalg::MatrixView(a_);
-    a.fill(0.0);
-    std::fill(b_.begin(), b_.end(), 0.0);
-    Stamper st(a, b_, node_unknowns);
-    for (const auto& dev : circuit_->devices()) dev->stamp(st, x);
-    for (int i = 0; i < node_unknowns; ++i) st.add_entry(i, i, gmin);
-
+    stamp_dc(x, gmin);
     try {
-      if (use_sparse_) {
-        slu_.refactor(sa_);
-      } else {
-        lu_.refactor(a_);
-      }
+      slu_.refactor(sa_);
     } catch (const NumericalError&) {
       return false;
     }
     x_new_ = b_;  // same-size copy into the preallocated solve buffer
-    if (use_sparse_) {
-      slu_.solve_in_place(x_new_);
-    } else {
-      lu_.solve_in_place(x_new_);
-    }
+    slu_.solve_in_place(x_new_);
 
     // Global damping: scale the step so no node voltage moves more than
     // max_step_volts in one iteration (junction limiting inside the
@@ -277,63 +269,50 @@ const linalg::ComplexVector& SimSession::solve_ac(double omega) {
   const auto n = static_cast<std::size_t>(n_unknowns_);
   if (!ac_ready_) {
     cb_.assign(n, linalg::Complex{});
-    if (use_sparse_) {
-      // Pattern discovery, mirroring the real engine: one stamp_ac pass
-      // registers every slot (zero values included), gmin diagonal too.
-      csa_.resize(n, n);
-      AcStamper st(csa_, cb_, node_unknowns_, omega);
-      for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
-      for (int i = 0; i < node_unknowns_; ++i) {
-        st.add_entry(i, i, linalg::Complex{});
-      }
-      csa_.freeze_pattern();
-      std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
-    } else {
-      ca_.resize(n, n);
+    // Pattern discovery, mirroring the real engine: one stamp_ac pass
+    // registers every slot (zero values included), gmin diagonal too.
+    csa_.resize(n, n);
+    AcStamper st(csa_, cb_, node_unknowns_, omega);
+    for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
+    for (int i = 0; i < node_unknowns_; ++i) {
+      st.add_entry(i, i, linalg::Complex{});
     }
+    csa_.freeze_pattern();
+    std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
     ac_ready_ = true;
   }
 
   const auto stamp_at = [&](double w) {
-    linalg::ComplexMatrixView a = use_sparse_
-                                      ? linalg::ComplexMatrixView(csa_)
-                                      : linalg::ComplexMatrixView(ca_);
-    a.fill(linalg::Complex{});
+    csa_.fill(linalg::Complex{});
     std::fill(cb_.begin(), cb_.end(), linalg::Complex{});
-    AcStamper st(a, cb_, node_unknowns_, w);
+    AcStamper st(csa_, cb_, node_unknowns_, w);
     for (const auto& dev : circuit_->devices()) dev->stamp_ac(st, op);
     for (int i = 0; i < node_unknowns_; ++i) {
       st.add_entry(i, i, linalg::Complex(options_.gmin_floor));
     }
   };
 
-  if (use_sparse_) {
-    // Bit-identity discipline: the cached symbolic analysis belongs to
-    // the first stamped frequency (the sweep's prime). If a previous
-    // point's refactor collapsed the frozen pivots and re-analysed at
-    // its own frequency, re-pin a fresh analysis at the prime before
-    // this point -- every point's factorisation then depends only on
-    // (op, omega, prime omega), never on sweep order or which parallel
-    // worker tripped the collapse.
-    const bool primed = cslu_.analysis_count() > 0;
-    if (primed && cslu_.analysis_count() != ac_pinned_analysis_) {
-      cslu_.invalidate_analysis();
-      stamp_at(ac_prime_omega_);
-      cslu_.refactor(csa_);
-      ac_pinned_analysis_ = cslu_.analysis_count();
-    }
-    stamp_at(omega);
+  // Bit-identity discipline: the cached symbolic analysis belongs to the
+  // first stamped frequency (the sweep's prime). If a previous point's
+  // refactor collapsed the frozen pivots and re-analysed at its own
+  // frequency, re-pin a fresh analysis at the prime before this point --
+  // every point's factorisation then depends only on (op, omega, prime
+  // omega), never on sweep order or which parallel worker tripped the
+  // collapse.
+  const bool primed = cslu_.analysis_count() > 0;
+  if (primed && cslu_.analysis_count() != ac_pinned_analysis_) {
+    cslu_.invalidate_analysis();
+    stamp_at(ac_prime_omega_);
     cslu_.refactor(csa_);
-    if (!primed) {
-      ac_prime_omega_ = omega;
-      ac_pinned_analysis_ = cslu_.analysis_count();
-    }
-    cslu_.solve_in_place(cb_);
-  } else {
-    stamp_at(omega);
-    clu_.refactor(ca_);
-    clu_.solve_in_place(cb_);
+    ac_pinned_analysis_ = cslu_.analysis_count();
   }
+  stamp_at(omega);
+  cslu_.refactor(csa_);
+  if (!primed) {
+    ac_prime_omega_ = omega;
+    ac_pinned_analysis_ = cslu_.analysis_count();
+  }
+  cslu_.solve_in_place(cb_);
   return cb_;
 }
 

@@ -755,12 +755,48 @@ TEST(NetlistFrontEnd, LongNumberTokensParse) {
   EXPECT_THROW((void)parse_spice_number(digits + "1.5kk"), NetlistError);
 }
 
+/// A deck whose .STEP DEC points per decade and .AC points are `count`.
+std::string point_count_deck(const std::string& count) {
+  return "V1 in 0 1 AC 1\nR1 in out 1k\nC1 out 0 1u\n"
+         ".STEP R1 DEC 1k 10k " + count + "\n.DC V1 0 1 0.5\n"
+         ".AC DEC " + count + " 1 1k\n.PROBE V(out) VDB(out)\n";
+}
+
 TEST(NetlistFrontEnd, NonFiniteOrHugeSweepsRejected) {
   const std::string deck = "V1 a 0 1\nR1 a 0 1k\n.PROBE V(a)\n";
   EXPECT_THROW((void)parse_netlist(deck + ".DC V1 0 1 nan\n"), NetlistError);
   EXPECT_THROW((void)parse_netlist(deck + ".DC V1 0 inf 1\n"), NetlistError);
   EXPECT_THROW((void)parse_netlist(deck + ".DC V1 0 1 1p\n"), NetlistError);
   EXPECT_NO_THROW((void)parse_netlist(deck + ".DC V1 0 1 1u\n"));
+
+  // Point counts (.STEP DEC points per decade, .AC points) outside 1..1e7
+  // are rejected on their own line, before any conversion to int.
+  const std::string head = "V1 in 0 1 AC 1\nR1 in out 1k\nC1 out 0 1u\n";
+  for (const char* count : {"10g", "nan", "0", "1e8"}) {
+    SCOPED_TRACE(count);
+    const std::string step = head + ".STEP R1 DEC 1k 10k " + count +
+                             "\n.DC V1 0 1 0.5\n.PROBE V(out)\n";
+    const std::string ac = head + ".AC DEC " + std::string(count) +
+                           " 1 1k\n.PROBE VDB(out)\n";
+    for (const std::string& bad : {step, ac}) {
+      try {
+        (void)parse_netlist(bad);
+        FAIL() << "accepted:\n" << bad;
+      } catch (const NetlistError& e) {
+        EXPECT_NE(std::string(e.what()).find("netlist line 4:"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // In range, but a grid past the cap: 2e6 per decade over 9 decades.
+  EXPECT_THROW((void)parse_netlist(head + ".AC DEC 2meg 1 1g\n"
+                                          ".PROBE VDB(out)\n"),
+               NetlistError);
+  EXPECT_THROW((void)parse_netlist(head + ".AC DEC 10 1 inf\n"
+                                          ".PROBE VDB(out)\n"),
+               NetlistError);
+  EXPECT_NO_THROW((void)parse_netlist(point_count_deck("10")));
 }
 
 // The parser allocates the devices it builds and nothing per line: no
@@ -872,8 +908,11 @@ std::vector<std::string> example_decks() {
 // CircuitError, PlanError, ...); nothing else may escape. An accepted deck
 // parses the same way twice. ICVBE_SPARSE_STRESS=1 runs the long variant.
 TEST(NetlistMutation, OnlyIcvbeErrorsEscapeAndParsesRepeat) {
-  const std::vector<std::string> decks = example_decks();
+  std::vector<std::string> decks = example_decks();
   ASSERT_GE(decks.size(), 5u);
+  for (const char* count : {"10g", "nan", "0", "1e8"}) {
+    decks.push_back(point_count_deck(count));
+  }
   const char* stress = std::getenv("ICVBE_SPARSE_STRESS");
   const bool long_run = stress != nullptr && std::string(stress) == "1";
   const int mutants = long_run ? 100000 : 4000;

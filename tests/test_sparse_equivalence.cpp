@@ -1,9 +1,9 @@
 // Dense-vs-sparse equivalence and stress harness over generated synthetic
-// netlists (spice/netlist_gen.hpp): the sparse CSR engine must reproduce
-// the dense workspace engine's solutions to <= 1e-10 across DC solves and
-// full analysis plans, stay allocation-free per point (this binary links
-// icvbe_alloc_hook), and keep the plan contract's bit-identical parallel
-// fanout.
+// netlists (spice/netlist_gen.hpp): the sparse engine's solutions must sit
+// within 1e-10 of the dense LU oracle (dense_oracle.hpp) across DC solves
+// and full analysis plans, stay allocation-free per point (this binary
+// links icvbe_alloc_hook), and keep the plan contract's bit-identical
+// parallel fanout.
 //
 // Default sizes keep the suite inside the ordinary ctest budget; set
 // ICVBE_SPARSE_STRESS=1 (the Release CI job does) to add the large
@@ -20,6 +20,7 @@
 #include "icvbe/spice/plan.hpp"
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
+#include "dense_oracle.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -31,19 +32,30 @@ bool stress_enabled() {
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
 
-/// Newton tolerances tight enough that both engines converge to within
-/// ~1e-12 of the true operating point: at the default reltol=1e-6 each
-/// engine would legitimately stop microvolts from the root (and from each
-/// other), drowning the 1e-10 comparison in solver slack. The absolute
+/// Newton tolerances tight enough that the session converges to within
+/// ~1e-12 of the true operating point: at the default reltol=1e-6 it would
+/// legitimately stop microvolts from the root (and from the oracle's
+/// step), drowning the 1e-10 comparison in solver slack. The absolute
 /// floors stay above the ~3e-12 iterate noise of a 500-unknown solve, or
 /// convergence would be unreachable.
-NewtonOptions tight_options(SparseMode mode) {
+NewtonOptions tight_options() {
   NewtonOptions opt;
   opt.v_abstol = 1e-11;
   opt.i_abstol = 1e-14;
   opt.reltol = 1e-12;
-  opt.sparse = mode;
   return opt;
+}
+
+/// Every unknown of the sparse solution `xs` against the dense oracle's
+/// Newton step from it.
+void expect_matches_dense(Circuit& circuit, const Unknowns& xs,
+                          double gmin) {
+  const Unknowns xd = dense_newton_image(circuit, xs, gmin);
+  ASSERT_EQ(xd.size(), xs.size());
+  for (std::size_t i = 0; i < xd.size(); ++i) {
+    EXPECT_NEAR(xd.raw()[i], xs.raw()[i], kAgreeTol)
+        << "unknown " << i << " of " << xd.size();
+  }
 }
 
 struct EquivalenceCase {
@@ -90,75 +102,62 @@ ParsedNetlist parse_case(const EquivalenceCase& c, std::uint64_t seed = 42) {
 TEST(SparseEquivalence, DcOperatingPointMatchesDense) {
   for (const EquivalenceCase& c : equivalence_cases()) {
     SCOPED_TRACE(case_name(c));
-    auto dense_deck = parse_case(c);
-    auto sparse_deck = parse_case(c);
-
-    SimSession dense(*dense_deck.circuit, tight_options(SparseMode::kDense));
-    SimSession sparse(*sparse_deck.circuit,
-                      tight_options(SparseMode::kSparse));
-    EXPECT_FALSE(dense.uses_sparse_engine());
-    EXPECT_TRUE(sparse.uses_sparse_engine());
-    ASSERT_EQ(dense.unknown_count(), sparse.unknown_count());
-
-    const Unknowns& xd = dense.solve_or_throw();
+    auto deck = parse_case(c);
+    SimSession sparse(*deck.circuit, tight_options());
     const Unknowns& xs = sparse.solve_or_throw();
-    for (std::size_t i = 0; i < xd.size(); ++i) {
-      EXPECT_NEAR(xd.raw()[i], xs.raw()[i], kAgreeTol)
-          << "unknown " << i << " of " << xd.size();
-    }
+    expect_matches_dense(*deck.circuit, xs, sparse.options().gmin_floor);
   }
 }
 
 TEST(SparseEquivalence, DeckPlanColumnsMatchDense) {
   for (const EquivalenceCase& c : equivalence_cases()) {
     SCOPED_TRACE(case_name(c));
-    auto dense_deck = parse_case(c);
-    auto sparse_deck = parse_case(c);
-    ASSERT_TRUE(dense_deck.plan.has_value());
+    auto deck = parse_case(c);
+    ASSERT_TRUE(deck.plan.has_value());
+    ASSERT_EQ(deck.plan->axes.size(), 1u);
 
-    AnalysisPlan plan = *dense_deck.plan;
-    plan.options = tight_options(SparseMode::kDense);
-    SimSession dense(*dense_deck.circuit, plan.options);
-    const SweepResult rd = dense.run(plan);
-
-    plan.options = tight_options(SparseMode::kSparse);
-    SimSession sparse(*sparse_deck.circuit, plan.options);
+    AnalysisPlan plan = *deck.plan;
+    plan.options = tight_options();
+    SimSession sparse(*deck.circuit, plan.options);
     const SweepResult rs = sparse.run(plan);
 
-    ASSERT_EQ(rd.rows(), rs.rows());
-    ASSERT_EQ(rd.probe_count(), rs.probe_count());
-    for (std::size_t p = 0; p < rd.probe_count(); ++p) {
-      for (std::size_t r = 0; r < rd.rows(); ++r) {
-        EXPECT_NEAR(rd.value(p, r), rs.value(p, r), kAgreeTol)
-            << "probe " << p << " row " << r;
+    // Replay the sweep point by point and judge every recorded column
+    // against the probes of the dense oracle's step from that point.
+    Circuit& circuit = *deck.circuit;
+    const CompiledProbeSet probes(plan.probes, circuit);
+    std::size_t row = 0;
+    (void)sparse.sweep(plan.axes.front(), [&](const Circuit&,
+                                              const Unknowns& x) {
+      const Unknowns xd =
+          dense_newton_image(circuit, x, plan.options.gmin_floor);
+      for (std::size_t p = 0; p < probes.size(); ++p) {
+        EXPECT_NEAR(rs.value(p, row), probes.eval(p, xd), kAgreeTol)
+            << "probe " << p << " row " << row;
+      }
+      ++row;
+      return 0.0;
+    });
+    EXPECT_EQ(row, rs.rows());
+  }
+}
+
+/// Every result bit-equal to the first.
+void expect_bit_identical(const std::vector<SweepResult>& results) {
+  for (std::size_t v = 1; v < results.size(); ++v) {
+    ASSERT_EQ(results[0].rows(), results[v].rows());
+    for (std::size_t p = 0; p < results[0].probe_count(); ++p) {
+      for (std::size_t r = 0; r < results[0].rows(); ++r) {
+        EXPECT_EQ(results[0].value(p, r), results[v].value(p, r))
+            << "variant " << v << " probe " << p << " row " << r;
       }
     }
   }
 }
 
-TEST(SparseEquivalence, AutoModePicksEngineByThreshold) {
-  // Default auto threshold: a 500-node deck binds sparse ...
-  auto big = parse_case({SyntheticTopology::kResistorLadder, 500});
-  SimSession big_session(*big.circuit);
-  EXPECT_TRUE(big_session.uses_sparse_engine());
-
-  // ... a deck below the threshold stays dense ...
-  auto small = parse_case({SyntheticTopology::kResistorLadder, 10});
-  SimSession small_session(*small.circuit);
-  EXPECT_FALSE(small_session.uses_sparse_engine());
-
-  // ... and a custom threshold moves the crossover.
-  NewtonOptions opt;
-  opt.sparse_threshold = 8;
-  auto small2 = parse_case({SyntheticTopology::kResistorLadder, 10});
-  SimSession forced(*small2.circuit, opt);
-  EXPECT_TRUE(forced.uses_sparse_engine());
-}
-
 TEST(SparseEquivalence, TwoAxisPlanBitIdenticalAcrossThreadCounts) {
   // The plan contract (test_plan) on the sparse path: outer rows fanned
   // across per-thread clones must produce bit-identical columns for any
-  // thread count -- workers are pinned to the parent session's engine.
+  // thread count -- every worker primes its pivots at the un-swept clone.
   const EquivalenceCase c{SyntheticTopology::kDiodeLadder, 200};
   AnalysisPlan plan;
   plan.name = "sparse-fanout";
@@ -174,25 +173,64 @@ TEST(SparseEquivalence, TwoAxisPlanBitIdenticalAcrossThreadCounts) {
     auto deck = parse_case(c);
     deck.circuit->set_temperature(300.15);
     plan.threads = threads;
-    SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
-    ASSERT_TRUE(session.uses_sparse_engine());
+    SimSession session(*deck.circuit, tight_options());
     results.push_back(session.run(plan));
   }
-  for (std::size_t v = 1; v < results.size(); ++v) {
-    for (std::size_t p = 0; p < results[0].probe_count(); ++p) {
-      for (std::size_t r = 0; r < results[0].rows(); ++r) {
-        EXPECT_EQ(results[0].value(p, r), results[v].value(p, r))
-            << "thread variant " << v << " probe " << p << " row " << r;
+  expect_bit_identical(results);
+
+  // The Banba bandgap stepped across temperature: the outer rows start
+  // up to 125 K apart, where threshold pivoting at a row's first point
+  // picks other pivots than at the un-swept circuit. Neither the thread count nor the lane width may change a
+  // bit, whichever row an executor draws first.
+  const std::string text = R"(
+VDD vdd 0 1
+.MODEL PMOSLV PMOS (VTO=0.45 KP=25u LAMBDA=0.04 TNOM=298.15)
+.MODEL PNPCELL PNP (IS=2e-16 BF=45 NF=1.0 EG=1.17 XTI=3.5 TNOM=298.15)
+M1 n1 gate vdd PMOSLV WL=120
+M2 n2 gate vdd PMOSLV WL=120
+M3 vref gate vdd PMOSLV WL=120
+R1A n1 0 26.1k
+Q1 0 0 n1 PNPCELL
+R1B n2 0 26.1k
+R0 n2 n2e 2.44k
+Q2 0 0 n2e PNPCELL AREA=8
+R2 vref 0 13k
+U1 gate n2 n1 GAIN=1e6
+.NODESET V(n1)=0.62 V(n2)=0.62 V(n2e)=0.566 V(vref)=0.6 V(gate)=0.375 V(vdd)=1
+.STEP TEMP LIST 125 0 60 25
+.DC VDD 0.9 1.5 0.3
+.PROBE V(vref) I(VDD)
+)";
+  std::vector<SweepResult> stepped;
+  for (unsigned threads : {1u, 3u}) {
+    for (unsigned lanes : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " lanes=" << lanes);
+      auto deck = parse_netlist(text);
+      ASSERT_TRUE(deck.plan.has_value());
+      ASSERT_EQ(deck.plan->axes.size(), 2u);
+      Circuit& circuit = *deck.circuit;
+      circuit.set_temperature(300.15);
+      Unknowns guess(static_cast<std::size_t>(circuit.assign_unknowns()));
+      for (const auto& [node, value] : deck.nodesets) {
+        guess.raw()[static_cast<std::size_t>(circuit.node(node) - 1)] = value;
       }
+      AnalysisPlan stepped_plan = *deck.plan;
+      stepped_plan.threads = threads;
+      stepped_plan.lanes = lanes;
+      SimSession session(circuit);
+      session.seed_warm_start(guess);
+      stepped.push_back(session.run(stepped_plan));
     }
   }
+  expect_bit_identical(stepped);
 }
 
 TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {
   // The ordering dimension of the equivalence matrix: the legacy exact
   // minimum-degree path (pre-AMD default, kept behind SparseOptions), the
   // new AMD+BTF default, and a forced-supernode AMD variant must all land
-  // on the dense engine's answer on every deck shape.
+  // on the dense oracle's answer on every deck shape.
   struct Variant {
     const char* name;
     linalg::SparseOptions options;
@@ -207,31 +245,21 @@ TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {
   };
   for (const EquivalenceCase& c : equivalence_cases()) {
     SCOPED_TRACE(case_name(c));
-    auto dense_deck = parse_case(c);
-    SimSession dense(*dense_deck.circuit, tight_options(SparseMode::kDense));
-    const Unknowns& xd = dense.solve_or_throw();
-
     for (const Variant& v : variants) {
       SCOPED_TRACE(v.name);
       auto deck = parse_case(c);
-      NewtonOptions opt = tight_options(SparseMode::kSparse);
+      NewtonOptions opt = tight_options();
       opt.sparse_options = v.options;
       SimSession sparse(*deck.circuit, opt);
-      ASSERT_TRUE(sparse.uses_sparse_engine());
       const Unknowns& xs = sparse.solve_or_throw();
-      ASSERT_EQ(xd.size(), xs.size());
-      for (std::size_t i = 0; i < xd.size(); ++i) {
-        EXPECT_NEAR(xd.raw()[i], xs.raw()[i], kAgreeTol)
-            << "unknown " << i << " under ordering variant " << v.name;
-      }
+      expect_matches_dense(*deck.circuit, xs, opt.gmin_floor);
     }
   }
 }
 
 TEST(SparseEquivalence, SparseSolveIsAllocationFreeAfterSetup) {
   auto deck = parse_case({SyntheticTopology::kMesh, 500});
-  SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
-  ASSERT_TRUE(session.uses_sparse_engine());
+  SimSession session(*deck.circuit, tight_options());
 
   // First solve performs the one-time symbolic analysis.
   (void)session.solve_or_throw();
@@ -252,8 +280,7 @@ TEST(SparseEquivalence, SparsePlanAllocationsIndependentOfPointCount) {
   // points must allocate exactly as much as the small run (per-run setup
   // only, nothing per point).
   auto deck = parse_case({SyntheticTopology::kMesh, 200});
-  SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
-  ASSERT_TRUE(session.uses_sparse_engine());
+  SimSession session(*deck.circuit, tight_options());
 
   AnalysisPlan small;
   small.name = "alloc-small";
@@ -287,10 +314,10 @@ TEST(SparseEquivalence, SymbolicAnalysisSurvivesAWholePlanRun) {
   // must reuse one symbolic analysis (pattern and pivot order are
   // operating-point independent).
   auto deck = parse_case({SyntheticTopology::kDiodeLadder, 200});
-  SimSession session(*deck.circuit, tight_options(SparseMode::kSparse));
+  SimSession session(*deck.circuit, tight_options());
   ASSERT_TRUE(deck.plan.has_value());
   AnalysisPlan plan = *deck.plan;
-  plan.options = tight_options(SparseMode::kSparse);
+  plan.options = tight_options();
   const SweepResult r = session.run(plan);
   EXPECT_GT(r.rows(), 0u);
 }

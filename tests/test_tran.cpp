@@ -15,6 +15,7 @@
 #include "icvbe/spice/sim_session.hpp"
 #include "icvbe/spice/transient.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
+#include "dense_oracle.hpp"
 
 namespace {
 
@@ -297,7 +298,7 @@ TEST(TransientLteTest, StepSequenceIsDeterministic) {
   EXPECT_EQ(rejected_a, rejected_b);
 }
 
-// ------------------------------------------- dense/sparse + allocations ---
+// ------------------------------------------- dense oracle + allocations ---
 
 TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   SyntheticNetlistSpec gen;
@@ -306,58 +307,82 @@ TEST(TransientEngineTest, DenseAndSparseResultsAgreeOnRcLadderDeck) {
   gen.seed = 11;
   const std::string deck = generate_netlist(gen);
 
-  SweepResult results[2];
-  for (int engine = 0; engine < 2; ++engine) {
-    auto parsed = parse_netlist(deck);
-    ASSERT_TRUE(parsed.plan.has_value());
-    ASSERT_TRUE(parsed.plan->transient.has_value());
-    AnalysisPlan plan = *parsed.plan;
-    // Uniform grid so both engines produce identical row sets, and tight
-    // Newton tolerances so solver slack stays below the 1e-10 comparison.
-    plan.transient->adaptive = false;
-    plan.transient->tstep = plan.transient->tstop / 100.0;
-    NewtonOptions options;
-    options.v_abstol = 1e-11;
-    options.i_abstol = 1e-14;
-    options.reltol = 1e-12;
-    options.sparse =
-        engine == 0 ? SparseMode::kDense : SparseMode::kSparse;
-    plan.options = options;
-    SimSession session(*parsed.circuit, options);
-    results[engine] = session.run(plan);
-  }
-  ASSERT_EQ(results[0].rows(), results[1].rows());
-  ASSERT_EQ(results[0].probe_count(), results[1].probe_count());
-  for (std::size_t p = 0; p < results[0].probe_count(); ++p) {
-    for (std::size_t r = 0; r < results[0].rows(); ++r) {
-      EXPECT_NEAR(results[0].value(p, r), results[1].value(p, r), 1e-10)
-          << "probe " << p << " row " << r;
+  // The session steps the deck on a uniform grid with Newton tolerances
+  // tight enough that solver slack stays below the 1e-10 comparison.
+  auto parsed = parse_netlist(deck);
+  ASSERT_TRUE(parsed.plan.has_value());
+  ASSERT_TRUE(parsed.plan->transient.has_value());
+  TransientSpec spec = *parsed.plan->transient;
+  spec.adaptive = false;
+  spec.tstep = spec.tstop / 100.0;
+  NewtonOptions options;
+  options.v_abstol = 1e-11;
+  options.i_abstol = 1e-14;
+  options.reltol = 1e-12;
+  SimSession session(*parsed.circuit, options);
+  TransientSolver solver(session, spec);
+  solver.begin();
+
+  // The dense oracle mirrors the run on a second copy of the deck: the
+  // same source values and companion state at every step, and the step's
+  // system stamped at the session's solution and solved by dense LU.
+  auto mirror = parse_netlist(deck);
+  ASSERT_EQ(mirror.circuit->assign_unknowns(), session.unknown_count());
+  const auto& devices = parsed.circuit->devices();
+  const auto& mirrored = mirror.circuit->devices();
+  std::vector<DynamicDevice*> dynamic;
+  for (const auto& d : mirrored) {
+    if (auto* dd = dynamic_cast<DynamicDevice*>(d.get())) {
+      dynamic.push_back(dd);
     }
   }
+  const auto check_step = [&](const Unknowns& x) {
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+      if (auto* v = dynamic_cast<const VoltageSource*>(devices[d].get())) {
+        static_cast<VoltageSource&>(*mirrored[d]).set_voltage(v->voltage());
+      } else if (auto* i =
+                     dynamic_cast<const CurrentSource*>(devices[d].get())) {
+        static_cast<CurrentSource&>(*mirrored[d]).set_current(i->current());
+      }
+    }
+    const Unknowns xd =
+        dense_newton_image(*mirror.circuit, x, options.gmin_floor);
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      EXPECT_NEAR(xd.raw()[k], x.raw()[k], 1e-10)
+          << "t=" << solver.time() << " unknown " << k;
+    }
+  };
+  check_step(solver.solution());  // the DC operating point
+  for (DynamicDevice* d : dynamic) d->init_state(solver.solution());
+  int steps = 0;
+  while (solver.advance()) {
+    for (DynamicDevice* d : dynamic) {
+      d->begin_step(spec.method, solver.last_step());
+    }
+    check_step(solver.solution());
+    for (DynamicDevice* d : dynamic) d->commit(solver.solution());
+    ++steps;
+  }
+  EXPECT_GE(steps, 100);
 }
 
 TEST(TransientEngineTest, AdvanceIsAllocationFreeAfterSetup) {
-  for (const SparseMode mode : {SparseMode::kDense, SparseMode::kSparse}) {
-    SyntheticNetlistSpec gen;
-    gen.topology = SyntheticTopology::kRcLadder;
-    gen.nodes = 30;
-    gen.seed = 3;
-    auto parsed = parse_netlist(generate_netlist(gen));
-    ASSERT_TRUE(parsed.plan->transient.has_value());
-    NewtonOptions options;
-    options.sparse = mode;
-    SimSession session(*parsed.circuit, options);
-    TransientSolver solver(session, *parsed.plan->transient);
-    solver.begin();
-    for (int i = 0; i < 20; ++i) ASSERT_TRUE(solver.advance());
+  SyntheticNetlistSpec gen;
+  gen.topology = SyntheticTopology::kRcLadder;
+  gen.nodes = 30;
+  gen.seed = 3;
+  auto parsed = parse_netlist(generate_netlist(gen));
+  ASSERT_TRUE(parsed.plan->transient.has_value());
+  SimSession session(*parsed.circuit);
+  TransientSolver solver(session, *parsed.plan->transient);
+  solver.begin();
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(solver.advance());
 
-    const std::uint64_t before = icvbe::testing::allocation_count();
-    for (int i = 0; i < 100; ++i) ASSERT_TRUE(solver.advance());
-    const std::uint64_t after = icvbe::testing::allocation_count();
-    EXPECT_EQ(after - before, 0u)
-        << (mode == SparseMode::kDense ? "dense" : "sparse")
-        << " engine allocated in the transient stepping loop";
-  }
+  const std::uint64_t before = icvbe::testing::allocation_count();
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(solver.advance());
+  const std::uint64_t after = icvbe::testing::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "the transient stepping loop allocated";
 }
 
 // -------------------------------------------------- plan / deck plumbing ---
