@@ -2,7 +2,11 @@
 // free-function path (fresh circuit + fresh solver workspace per point,
 // the idiom the lab drivers used before the session refactor) against one
 // persistent SimSession (workspace reuse + warm-start continuation) on a
-// 100-point temperature sweep of the Banba sub-1-V test cell.
+// 100-point temperature sweep of the Banba sub-1-V test cell, plus
+// bm_session_solve's one-cell loop (0.1 K steps). Each path runs once per
+// repetition, interleaved; the table prints the median time per solve and
+// its quartiles over 9 repetitions to 0.01 us, and the speedup is the
+// median of the 9 legacy/session pair ratios.
 //
 // This binary links the icvbe_alloc_hook counting operator new/delete, so
 // it also reports allocations per solve: the session path must be
@@ -75,6 +79,29 @@ void run_session(const bandgap::BanbaCellParams& p,
   if (reverse) std::reverse(vref.begin(), vref.end());
 }
 
+/// Median and quartiles of a sample (linear interpolation between order
+/// statistics).
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+double elapsed_us(Clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+}
+
 void reproduce_throughput() {
   bench::banner(
       "Solver throughput: legacy per-solve path vs persistent SimSession "
@@ -82,43 +109,64 @@ void reproduce_throughput() {
 
   const auto p = nominal_banba();
   const auto temps = sweep_grid();
-  constexpr int kReps = 5;  // best-of-N to shrug off scheduler noise
+  // Interleaved repetitions: each runs every path once (the path order
+  // rotates), so a slow spell of a shared host lands on all of them; the
+  // report is the median and quartiles per path.
+  constexpr int kReps = 9;
 
-  // --- legacy ---
-  std::vector<double> vref_legacy;
-  const std::uint64_t a0 = testing::allocation_count();
-  double us_legacy = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const auto t0 = Clock::now();
-    vref_legacy = run_legacy(p, temps);
-    const auto t1 = Clock::now();
-    const double us =
-        std::chrono::duration<double, std::micro>(t1 - t0).count();
-    us_legacy = rep == 0 ? us : std::min(us_legacy, us);
-  }
-  const std::uint64_t a1 = testing::allocation_count();
-
-  // --- session (built + warmed once, like a real campaign) ---
-  spice::Circuit c;
-  const bandgap::BanbaHandles h = bandgap::build_banba_cell(c, p);
+  // Session paths are built and warmed once, like a real campaign.
   spice::NewtonOptions opt;
   opt.max_iterations = 400;
+  spice::Circuit c;
+  const bandgap::BanbaHandles h = bandgap::build_banba_cell(c, p);
   spice::SimSession session(c, opt);
   (void)bandgap::solve_banba_at(session, h, p, temps.front());  // warm-up
+  // bm_session_solve's loop: one cell, 0.1 K apart from the last point.
+  spice::Circuit c1;
+  const bandgap::BanbaHandles h1 = bandgap::build_banba_cell(c1, p);
+  spice::SimSession step_session(c1, opt);
+  double t_step = to_kelvin(25.0);
+  (void)bandgap::solve_banba_at(step_session, h1, p, t_step);  // warm-up
+
+  std::vector<double> vref_legacy;
   std::vector<double> vref_session;
   vref_session.reserve(temps.size());
-
-  const std::uint64_t a2 = testing::allocation_count();
-  double us_session = 0.0;
+  std::vector<double> legacy_us;
+  std::vector<double> session_us;
+  std::vector<double> step_us;
+  std::vector<double> ratio;
+  for (auto* v : {&legacy_us, &session_us, &step_us, &ratio}) v->reserve(kReps);
+  std::uint64_t legacy_allocs = 0;
+  std::uint64_t session_allocs = 0;
+  std::uint64_t step_allocs = 0;
   for (int rep = 0; rep < kReps; ++rep) {
-    const auto t2 = Clock::now();
-    run_session(p, temps, h, session, vref_session, rep % 2 != 0);
-    const auto t3 = Clock::now();
-    const double us =
-        std::chrono::duration<double, std::micro>(t3 - t2).count();
-    us_session = rep == 0 ? us : std::min(us_session, us);
+    for (int k = 0; k < 3; ++k) {
+      const std::uint64_t a0 = testing::allocation_count();
+      const auto t0 = Clock::now();
+      switch ((rep + k) % 3) {
+        case 0:
+          vref_legacy = run_legacy(p, temps);
+          legacy_us.push_back(elapsed_us(t0) / kPoints);
+          legacy_allocs += testing::allocation_count() - a0;
+          break;
+        case 1:
+          run_session(p, temps, h, session, vref_session, rep % 2 != 0);
+          session_us.push_back(elapsed_us(t0) / kPoints);
+          session_allocs += testing::allocation_count() - a0;
+          break;
+        default:
+          for (int i = 0; i < kPoints; ++i) {
+            benchmark::DoNotOptimize(
+                bandgap::solve_banba_at(step_session, h1, p, t_step));
+            t_step += 0.1;
+          }
+          step_us.push_back(elapsed_us(t0) / kPoints);
+          step_allocs += testing::allocation_count() - a0;
+          break;
+      }
+    }
+    ratio.push_back(legacy_us.back() / session_us.back());
   }
-  const std::uint64_t a3 = testing::allocation_count();
 
   // --- agreement ---
   double max_dv = 0.0;
@@ -129,23 +177,32 @@ void reproduce_throughput() {
                                            i)]));
   }
 
-  const double solves_legacy = 1e6 * kPoints / us_legacy;
-  const double solves_session = 1e6 * kPoints / us_session;
   const int total_solves = kReps * kPoints;
-
-  Table t({"path", "time/solve [us]", "solves/sec", "allocs/solve"});
-  t.add_row({"legacy free functions", format_fixed(us_legacy / kPoints, 1),
-             format_fixed(solves_legacy, 0),
-             format_fixed(static_cast<double>(a1 - a0) / total_solves, 1)});
-  t.add_row({"SimSession (reused)", format_fixed(us_session / kPoints, 1),
-             format_fixed(solves_session, 0),
-             format_fixed(static_cast<double>(a3 - a2) / total_solves, 1)});
+  Table t({"path", "time/solve [us]", "q1 [us]", "q3 [us]", "solves/sec",
+           "allocs/solve"});
+  const auto row = [&](const char* path, const std::vector<double>& us,
+                       double allocs_per_solve) {
+    const Spread s = spread_of(us);
+    t.add_row({path, format_fixed(s.median, 2), format_fixed(s.q1, 2),
+               format_fixed(s.q3, 2), format_fixed(1e6 / s.median, 0),
+               format_fixed(allocs_per_solve, 1)});
+  };
+  row("legacy free functions", legacy_us,
+      static_cast<double>(legacy_allocs) / total_solves);
+  row("SimSession (reused)", session_us,
+      static_cast<double>(session_allocs) / total_solves);
+  row("bm_session_solve loop", step_us,
+      static_cast<double>(step_allocs) / total_solves);
   bench::emit(t, "solver_throughput.csv");
 
-  std::cout << "speedup: " << format_fixed(us_legacy / us_session, 2)
-            << "x   max |dVREF| between paths: " << max_dv << " V\n";
-  std::cout << "session steady-state allocations over " << total_solves
-            << " solves: " << (a3 - a2) << "\n";
+  const Spread speedup = spread_of(ratio);
+  std::cout << "speedup (median of " << kReps
+            << " interleaved pairs): " << format_fixed(speedup.median, 2)
+            << "x [" << format_fixed(speedup.q1, 2) << ", "
+            << format_fixed(speedup.q3, 2)
+            << "]   max |dVREF| between paths: " << max_dv << " V\n";
+  std::cout << "session steady-state allocations over " << 2 * total_solves
+            << " solves: " << session_allocs + step_allocs << "\n";
 }
 
 void bm_legacy_solve(benchmark::State& state) {

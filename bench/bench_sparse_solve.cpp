@@ -13,10 +13,14 @@
 // within 1.25x noise slack, judged on the median AMD/legacy ratio of 9
 // interleaved pairs.
 //
-// Stage 3 (stress, ICVBE_SPARSE_STRESS=1): single-shot analysis timing at
-// a 10k-node grid (gate: AMD symbolic analysis >= 10x faster than legacy)
-// plus an AMD-only 1e5-node clock-tree row. CI runs this in the
-// sparse-stress job and uploads results/BENCH_sparse.json.
+// Stage 3 (stress, ICVBE_SPARSE_STRESS=1): symbolic-analysis time, the
+// median of 5 fresh analyses, at a 10k-node grid (gate: AMD analysis
+// >= 10x faster than legacy) plus an AMD-only 1e5-node clock-tree row;
+// then the ordering alone, the flat amd_order against the vector-based
+// oracle it replaced (tests/amd_oracle.hpp), on both: the permutations
+// must be equal, and on the tree the flat one >= 4x faster (medians of 5
+// interleaved pairs). CI runs this in the sparse-stress job and uploads
+// results/BENCH_sparse.json.
 //
 // Stage 4: google-benchmark timings of the same kernels plus a full
 // session-level DC solve on the sparse path.
@@ -35,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "../tests/amd_oracle.hpp"
 #include "bench_util.hpp"
 #include "icvbe/linalg/solve.hpp"
 #include "icvbe/linalg/sparse.hpp"
@@ -283,6 +288,13 @@ bool stress_enabled() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
+/// The ordering alone on one pattern: flat amd_order vs the oracle.
+struct OrderingRace {
+  double flat_us = 0.0;    ///< median over kStressReps
+  double oracle_us = 0.0;  ///< median over kStressReps, interleaved
+  bool equal = true;       ///< the permutations were identical every time
+};
+
 struct StressReport {
   bool ran = false;
   int grid_unknowns = 0;
@@ -290,53 +302,83 @@ struct StressReport {
   double grid_amd_analysis_us = 0.0;
   std::size_t grid_legacy_nnz = 0;
   std::size_t grid_amd_nnz = 0;
+  OrderingRace grid_order;
   int tree_unknowns = 0;
   double tree_amd_analysis_us = 0.0;
   double tree_amd_steady_us = 0.0;
   std::size_t tree_amd_nnz = 0;
+  OrderingRace tree_order;
 };
 
-/// Single-shot analyze+refactor timing (the legacy ordering at 10k nodes
-/// is way too slow for the adaptive repeat loop).
-double single_shot_us(linalg::SparseLuFactorization& f,
-                      const linalg::SparseMatrix& m) {
-  const auto t0 = Clock::now();
-  f.invalidate_analysis();
-  f.refactor(m);
+/// Fresh analyses per stress timing; the median absorbs the +-25% swing
+/// of one shot on a shared host.
+constexpr int kStressReps = 5;
+/// Flat AMD vs oracle ordering speedup required on the 1e5 clock tree.
+constexpr double kFlatAmdGate = 4.0;
+
+double elapsed_us(Clock::time_point t0) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+}
+
+/// One fresh symbolic analysis: analyze+refactor from scratch, less a
+/// steady refactor of the (flipped) same matrix.
+double analysis_sample_us(linalg::SparseLuFactorization& f,
+                          StampedSystem& sys, DiagonalFlip& flip) {
+  auto t0 = Clock::now();
+  f.invalidate_analysis();
+  f.refactor(sys.sparse);
+  const double fresh = elapsed_us(t0);
+  flip(sys.sparse);
+  t0 = Clock::now();
+  f.refactor(sys.sparse);
+  return std::max(0.0, fresh - elapsed_us(t0));
+}
+
+OrderingRace race_orderings(const linalg::SparseMatrix& m) {
+  const auto& rp = m.row_ptr();
+  const auto& ci = m.col_index();
+  const std::size_t n = m.rows();
+  OrderingRace race;
+  std::vector<double> flat_us;
+  std::vector<double> oracle_us;
+  for (int r = 0; r < kStressReps; ++r) {
+    auto t0 = Clock::now();
+    const std::vector<int> flat = linalg::amd_order(rp, ci, n);
+    flat_us.push_back(elapsed_us(t0));
+    t0 = Clock::now();
+    const std::vector<int> oracle = linalg::oracle::amd_order(rp, ci, n);
+    oracle_us.push_back(elapsed_us(t0));
+    race.equal = race.equal && flat == oracle;
+  }
+  race.flat_us = median_of(flat_us);
+  race.oracle_us = median_of(oracle_us);
+  return race;
 }
 
 StressReport run_stress_study() {
   StressReport rep;
   rep.ran = true;
 
-  // 10k-node grid: legacy vs AMD, analysis isolated by subtracting one
-  // steady refactor from the fresh analyze+refactor shot.
+  // 10k-node grid: legacy vs AMD analyses, interleaved.
   {
     StampedSystem sys = make_system(spice::SyntheticTopology::kGrid, 10000,
                                     /*with_dense=*/false);
     rep.grid_unknowns = sys.unknowns;
     linalg::SparseLuFactorization leg;
     leg.set_options(linalg::SparseOptions::legacy());
-    const double leg_fresh = single_shot_us(leg, sys.sparse);
-    DiagonalFlip flip(sys);
-    flip(sys.sparse);
-    const auto t0 = Clock::now();
-    leg.refactor(sys.sparse);
-    const double leg_steady =
-        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-    rep.grid_legacy_analysis_us = std::max(0.0, leg_fresh - leg_steady);
-    rep.grid_legacy_nnz = leg.factor_nonzeros();
-
     linalg::SparseLuFactorization amd;
-    const double amd_fresh = single_shot_us(amd, sys.sparse);
-    flip(sys.sparse);
-    const auto t1 = Clock::now();
-    amd.refactor(sys.sparse);
-    const double amd_steady =
-        std::chrono::duration<double, std::micro>(Clock::now() - t1).count();
-    rep.grid_amd_analysis_us = std::max(1.0, amd_fresh - amd_steady);
+    DiagonalFlip flip(sys);
+    std::vector<double> leg_us;
+    std::vector<double> amd_us;
+    for (int r = 0; r < kStressReps; ++r) {
+      leg_us.push_back(analysis_sample_us(leg, sys, flip));
+      amd_us.push_back(analysis_sample_us(amd, sys, flip));
+    }
+    rep.grid_legacy_analysis_us = median_of(leg_us);
+    rep.grid_amd_analysis_us = std::max(1.0, median_of(amd_us));
+    rep.grid_legacy_nnz = leg.factor_nonzeros();
     rep.grid_amd_nnz = amd.factor_nonzeros();
+    rep.grid_order = race_orderings(sys.sparse);
   }
 
   // 1e5-node clock tree: AMD-only (legacy would take minutes); the tree
@@ -348,18 +390,21 @@ StressReport run_stress_study() {
                     /*with_dense=*/false);
     rep.tree_unknowns = sys.unknowns;
     linalg::SparseLuFactorization amd;
-    const double fresh = single_shot_us(amd, sys.sparse);
-    linalg::Vector x(static_cast<std::size_t>(sys.unknowns));
     DiagonalFlip flip(sys);
+    std::vector<double> analysis_us;
+    for (int r = 0; r < kStressReps; ++r) {
+      analysis_us.push_back(analysis_sample_us(amd, sys, flip));
+    }
+    rep.tree_amd_analysis_us = median_of(analysis_us);
+    linalg::Vector x(static_cast<std::size_t>(sys.unknowns));
     flip(sys.sparse);
     const auto t0 = Clock::now();
     amd.refactor(sys.sparse);
     x = sys.rhs;
     amd.solve_in_place(x);
-    rep.tree_amd_steady_us =
-        std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-    rep.tree_amd_analysis_us = std::max(0.0, fresh - rep.tree_amd_steady_us);
+    rep.tree_amd_steady_us = elapsed_us(t0);
     rep.tree_amd_nnz = amd.factor_nonzeros();
+    rep.tree_order = race_orderings(sys.sparse);
   }
   return rep;
 }
@@ -425,11 +470,23 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
        << ", \"analysis_speedup\": "
        << (stress.grid_legacy_analysis_us / stress.grid_amd_analysis_us)
        << ", \"legacy_factor_nnz\": " << stress.grid_legacy_nnz
-       << ", \"amd_factor_nnz\": " << stress.grid_amd_nnz << "},\n"
+       << ", \"amd_factor_nnz\": " << stress.grid_amd_nnz
+       << ", \"analysis_reps\": " << kStressReps << ", \"amd_order_us\": "
+       << stress.grid_order.flat_us
+       << ", \"oracle_order_us\": " << stress.grid_order.oracle_us
+       << ", \"order_equal\": " << (stress.grid_order.equal ? "true" : "false")
+       << "},\n"
        << "    \"clock_tree_100k\": {\"unknowns\": " << stress.tree_unknowns
        << ", \"amd_analysis_us\": " << stress.tree_amd_analysis_us
        << ", \"amd_refactor_solve_us\": " << stress.tree_amd_steady_us
-       << ", \"amd_factor_nnz\": " << stress.tree_amd_nnz << "}\n"
+       << ", \"amd_factor_nnz\": " << stress.tree_amd_nnz
+       << ", \"analysis_reps\": " << kStressReps << ", \"amd_order_us\": "
+       << stress.tree_order.flat_us
+       << ", \"oracle_order_us\": " << stress.tree_order.oracle_us
+       << ", \"order_speedup\": "
+       << (stress.tree_order.oracle_us / stress.tree_order.flat_us)
+       << ", \"order_equal\": " << (stress.tree_order.equal ? "true" : "false")
+       << "}\n"
        << "  }";
   }
   os << "\n}\n";
@@ -511,22 +568,44 @@ void write_json(const std::vector<CrossoverRow>& rows, int crossover,
     stress = run_stress_study();
     const double speedup =
         stress.grid_legacy_analysis_us / stress.grid_amd_analysis_us;
+    const double order_speedup =
+        stress.tree_order.oracle_us / stress.tree_order.flat_us;
     std::printf(
         "grid 10k (%d unknowns): legacy analysis %.0f us, AMD analysis "
-        "%.0f us -> %.1fx (gate >= 10x)\n"
+        "%.0f us -> %.1fx (gate >= 10x; medians of %d)\n"
         "  factor nnz: legacy %zu, AMD %zu\n"
+        "  ordering alone: flat AMD %.0f us, oracle %.0f us, %s\n"
         "clock-tree 100k (%d unknowns): AMD analysis %.0f us, "
-        "refactor+solve %.0f us, factor nnz %zu\n",
+        "refactor+solve %.0f us, factor nnz %zu\n"
+        "  ordering alone: flat AMD %.0f us, oracle %.0f us -> %.1fx "
+        "(gate >= %.0fx), %s\n",
         stress.grid_unknowns, stress.grid_legacy_analysis_us,
-        stress.grid_amd_analysis_us, speedup, stress.grid_legacy_nnz,
-        stress.grid_amd_nnz, stress.tree_unknowns,
-        stress.tree_amd_analysis_us, stress.tree_amd_steady_us,
-        stress.tree_amd_nnz);
+        stress.grid_amd_analysis_us, speedup, kStressReps,
+        stress.grid_legacy_nnz, stress.grid_amd_nnz,
+        stress.grid_order.flat_us, stress.grid_order.oracle_us,
+        stress.grid_order.equal ? "same permutation" : "PERMUTATIONS DIFFER",
+        stress.tree_unknowns, stress.tree_amd_analysis_us,
+        stress.tree_amd_steady_us, stress.tree_amd_nnz,
+        stress.tree_order.flat_us, stress.tree_order.oracle_us,
+        order_speedup, kFlatAmdGate,
+        stress.tree_order.equal ? "same permutation" : "PERMUTATIONS DIFFER");
     if (speedup < 10.0) {
       std::printf(
           "GATE FAILED: AMD symbolic analysis only %.1fx faster than legacy "
           "at the 10k grid (>= 10x required)\n",
           speedup);
+      gate_ok = false;
+    }
+    if (!stress.grid_order.equal || !stress.tree_order.equal) {
+      std::printf(
+          "GATE FAILED: flat AMD permutation differs from the oracle's\n");
+      gate_ok = false;
+    }
+    if (order_speedup < kFlatAmdGate) {
+      std::printf(
+          "GATE FAILED: flat AMD only %.1fx faster than the oracle on the "
+          "1e5 clock tree (>= %.0fx required)\n",
+          order_speedup, kFlatAmdGate);
       gate_ok = false;
     }
   } else {

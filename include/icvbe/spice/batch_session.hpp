@@ -131,6 +131,7 @@ class BatchDcSession {
   int n_unknowns_ = 0;
   int node_unknowns_ = 0;
   std::size_t bound_device_count_ = 0;
+  bool linear_ = false;  ///< no device is_nonlinear() (see SimSession)
 
   linalg::SparseMatrix sa_;          ///< shared pattern + prime/reference values
   linalg::SparseValueBatch batch_;   ///< K value planes over sa_'s pattern

@@ -63,7 +63,11 @@ class Device {
   /// device can never drift apart silently.
   virtual void stamp_ac(AcStamper& ac, const Unknowns& op) const = 0;
 
-  /// True if the device is nonlinear (forces Newton iteration).
+  /// True if the device is nonlinear (forces Newton iteration). A device
+  /// answering false promises that stamp() writes bitwise the same matrix
+  /// and RHS whatever `prev` is: a circuit of such devices is solved in
+  /// one undamped step per point (see docs/ARCHITECTURE.md, "The
+  /// linear-circuit step").
   [[nodiscard]] virtual bool is_nonlinear() const { return false; }
 
   // Lane-batched exponential evaluation (BatchDcSession). Junction devices

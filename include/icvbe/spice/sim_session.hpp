@@ -240,7 +240,8 @@ class SimSession {
 
  private:
   /// One Newton attempt at fixed gmin; allocation-free. Returns true on
-  /// convergence; x holds the final iterate either way.
+  /// convergence; x holds the final iterate either way. On a linear
+  /// circuit the attempt is one stamp, refactor and solve.
   bool newton_attempt(double gmin, Unknowns& x, int& iterations);
   /// Stamp the DC system at iterate x into (sa_, b_), gmin on every node
   /// diagonal.
@@ -269,6 +270,9 @@ class SimSession {
   int n_unknowns_ = 0;
   int node_unknowns_ = 0;
   std::size_t bound_device_count_ = 0;
+  /// No bound device is_nonlinear(): a Newton attempt is one undamped
+  /// solve (newton_update).
+  bool linear_ = false;
 
   // The CSR system and its LU, the pattern discovered once at rebind().
   linalg::Vector b_;

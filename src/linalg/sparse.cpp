@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <set>
 #include <string>
@@ -295,26 +297,77 @@ constexpr double kPivotRelThreshold = 0.5;
 /// the kernel stays within a few MB per instance no matter the matrix.
 constexpr std::size_t kSupernodeMaxDim = 1024;
 
-/// Symmetrised pattern as sorted, deduplicated adjacency lists (no self
-/// loops) -- the graph both fill-reducing orderings run on.
-std::vector<std::vector<int>> symmetrized_adjacency(
-    const std::vector<int>& row_ptr, const std::vector<int>& col_index,
-    std::size_t n) {
-  std::vector<std::vector<int>> adj(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      const int c = col_index[static_cast<std::size_t>(i)];
-      if (static_cast<std::size_t>(c) != r) {
-        adj[r].push_back(c);
-        adj[static_cast<std::size_t>(c)].push_back(static_cast<int>(r));
+/// Symmetrised pattern as a CSR graph: rows deduplicated, in no
+/// particular order, no self loops -- the graph both fill-reducing
+/// orderings run on.
+struct SymmetricGraph {
+  std::vector<int> ptr{0};  ///< row offsets, size n + 1
+  std::vector<int> adj;     ///< neighbours, row by row
+
+  [[nodiscard]] std::size_t size() const noexcept { return ptr.size() - 1; }
+};
+
+/// Build the symmetrised graph of `m` rows of a square CSR pattern:
+/// vertex k stands for row row_of(k) and for the column c with
+/// local_of(c) == k; entries whose column maps below 0 are dropped. One
+/// counting pass sizes the rows, a second places every edge in both
+/// directions, and a third squeezes out each row's repeats in place.
+template <typename RowOf, typename LocalOf>
+SymmetricGraph symmetrize(const std::vector<int>& row_ptr,
+                          const std::vector<int>& col_index, std::size_t m,
+                          RowOf row_of, LocalOf local_of) {
+  SymmetricGraph g;
+  g.ptr.assign(m + 1, 0);
+  const auto for_each_edge = [&](auto&& visit) {
+    for (std::size_t k = 0; k < m; ++k) {
+      const auto r = static_cast<std::size_t>(row_of(k));
+      for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+        const int lc = local_of(col_index[static_cast<std::size_t>(i)]);
+        if (lc >= 0 && lc != static_cast<int>(k)) {
+          visit(static_cast<std::size_t>(k), static_cast<std::size_t>(lc));
+        }
       }
     }
+  };
+  for_each_edge([&](std::size_t a, std::size_t b) {
+    ++g.ptr[a + 1];
+    ++g.ptr[b + 1];
+  });
+  for (std::size_t k = 0; k < m; ++k) g.ptr[k + 1] += g.ptr[k];
+
+  g.adj.resize(static_cast<std::size_t>(g.ptr[m]));
+  std::vector<int> cursor(g.ptr.begin(), g.ptr.end() - 1);
+  for_each_edge([&](std::size_t a, std::size_t b) {
+    g.adj[static_cast<std::size_t>(cursor[a]++)] = static_cast<int>(b);
+    g.adj[static_cast<std::size_t>(cursor[b]++)] = static_cast<int>(a);
+  });
+
+  // cursor now records, per vertex, the last row that listed it.
+  std::fill(cursor.begin(), cursor.end(), -1);
+  int out = 0;
+  int lo = 0;
+  for (std::size_t k = 0; k < m; ++k) {
+    const int hi = g.ptr[k + 1];
+    g.ptr[k] = out;
+    for (int i = lo; i < hi; ++i) {
+      const int v = g.adj[static_cast<std::size_t>(i)];
+      int& last = cursor[static_cast<std::size_t>(v)];
+      if (last == static_cast<int>(k)) continue;
+      last = static_cast<int>(k);
+      g.adj[static_cast<std::size_t>(out++)] = v;
+    }
+    lo = hi;
   }
-  for (auto& a : adj) {
-    std::sort(a.begin(), a.end());
-    a.erase(std::unique(a.begin(), a.end()), a.end());
-  }
-  return adj;
+  g.ptr[m] = out;
+  g.adj.resize(static_cast<std::size_t>(out));
+  return g;
+}
+
+/// The whole pattern's symmetrised graph.
+SymmetricGraph symmetrize(const std::vector<int>& row_ptr,
+                          const std::vector<int>& col_index, std::size_t n) {
+  const auto identity = [](auto v) { return static_cast<int>(v); };
+  return symmetrize(row_ptr, col_index, n, identity, identity);
 }
 
 /// Exact minimum degree over explicit adjacency sets (the original
@@ -322,7 +375,12 @@ std::vector<std::vector<int>> symmetrized_adjacency(
 /// the quotient-graph refinements -- which is exactly why it is now the
 /// legacy path). Ties break on the smallest node index, keeping the order
 /// fully deterministic.
-std::vector<int> md_order_core(std::size_t n, std::vector<std::set<int>> adj) {
+std::vector<int> md_order_graph(const SymmetricGraph& g) {
+  const std::size_t n = g.size();
+  std::vector<std::set<int>> adj(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    adj[v].insert(g.adj.begin() + g.ptr[v], g.adj.begin() + g.ptr[v + 1]);
+  }
   std::vector<char> eliminated(n, 0);
   std::vector<int> order;
   order.reserve(n);
@@ -354,143 +412,345 @@ std::vector<int> md_order_core(std::size_t n, std::vector<std::set<int>> adj) {
   return order;
 }
 
-std::vector<int> md_order_graph(std::size_t n,
-                                const std::vector<std::vector<int>>& vadj) {
-  std::vector<std::set<int>> adj(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    adj[v].insert(vadj[v].begin(), vadj[v].end());
-  }
-  return md_order_core(n, std::move(adj));
-}
+/// Binary min-heap of vertex ids on packed (degree, index) keys with a
+/// position index, so a removal is one sift: DegreeQueue's overflow for
+/// the degrees its buckets do not cover.
+class KeyHeap {
+ public:
+  explicit KeyHeap(std::size_t n) : pos_(n, -1) { heap_.reserve(n); }
 
-/// Approximate minimum degree on a quotient graph (Amestoy/Davis/Duff
-/// shape): eliminated pivots survive as *elements* (their neighbourhood
-/// clique represented implicitly), indistinguishable variables merge into
+  /// Degree in the high word (offset so a negative one still orders
+  /// below), index in the low word: integer order is (degree, index).
+  static std::uint64_t key(int degree, int v) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(degree) ^
+                                       0x80000000u)
+            << 32) |
+           static_cast<std::uint32_t>(v);
+  }
+  static int degree_of(std::uint64_t k) {
+    return static_cast<int>(static_cast<std::uint32_t>(k >> 32) ^
+                            0x80000000u);
+  }
+  static int vertex_of(std::uint64_t k) {
+    return static_cast<int>(static_cast<std::uint32_t>(k));
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::uint64_t top() const { return heap_.front(); }
+
+  void push(int degree, int v) {
+    heap_.push_back(key(degree, v));
+    sift_up(heap_.size() - 1);
+  }
+
+  void remove(int v) {
+    const auto i = static_cast<std::size_t>(pos_[static_cast<std::size_t>(v)]);
+    pos_[static_cast<std::size_t>(v)] = -1;
+    const std::uint64_t last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) return;
+    heap_[i] = last;
+    sift_up(i);
+    sift_down(static_cast<std::size_t>(
+        pos_[static_cast<std::size_t>(vertex_of(last))]));
+  }
+
+ private:
+  void place(std::size_t i, std::uint64_t k) {
+    heap_[i] = k;
+    pos_[static_cast<std::size_t>(vertex_of(k))] = static_cast<int>(i);
+  }
+  void sift_up(std::size_t i) {
+    const std::uint64_t k = heap_[i];
+    while (i > 0 && k < heap_[(i - 1) / 2]) {
+      place(i, heap_[(i - 1) / 2]);
+      i = (i - 1) / 2;
+    }
+    place(i, k);
+  }
+  void sift_down(std::size_t i) {
+    const std::uint64_t k = heap_[i];
+    const std::size_t size = heap_.size();
+    for (std::size_t c = 2 * i + 1; c < size; c = 2 * i + 1) {
+      if (c + 1 < size && heap_[c + 1] < heap_[c]) ++c;
+      if (!(heap_[c] < k)) break;
+      place(i, heap_[c]);
+      i = c;
+    }
+    place(i, k);
+  }
+
+  std::vector<std::uint64_t> heap_;
+  std::vector<int> pos_;
+};
+
+/// The live variables keyed on (degree, index), for AMD's exact
+/// minimum. Degrees 0..kBuckets-1 -- where nearly every pivot is found --
+/// each keep a set of vertex indices as a 64-ary bit tree: insert, erase
+/// and smallest member walk one word per level with a count-trailing-
+/// zeros, so an update costs a few instructions whatever n is. A mask says
+/// which buckets are non-empty. Every other degree (large, or negative
+/// after a supervariable merge) goes to the KeyHeap.
+class DegreeQueue {
+ public:
+  /// All n vertices of a CSR graph, each at its degree.
+  DegreeQueue(std::size_t n, const int* ptr) : degree_(n), heap_(n) {
+    level_.reserve(kMaxLevels);  // one allocation whatever n is
+    std::size_t words = n;
+    do {
+      words = (words + 63) / 64;
+      level_.push_back(stride_);
+      stride_ += words;
+    } while (words > 1);
+    bits_.assign(stride_ * kBuckets, 0);
+    for (std::size_t v = 0; v < n; ++v) {
+      insert(static_cast<int>(v), ptr[v + 1] - ptr[v]);
+    }
+  }
+
+  [[nodiscard]] bool empty() const noexcept {
+    return buckets_ == 0 && heap_.empty();
+  }
+
+  /// Remove and return the (degree, index)-smallest vertex.
+  int pop() {
+    int v;
+    if (!heap_.empty() && KeyHeap::degree_of(heap_.top()) < 0) {
+      v = KeyHeap::vertex_of(heap_.top());
+    } else if (buckets_ != 0) {
+      v = smallest(std::countr_zero(buckets_));
+    } else {
+      v = KeyHeap::vertex_of(heap_.top());
+    }
+    remove(v);
+    return v;
+  }
+
+  /// Re-key v (queued) at `degree`.
+  void update(int v, int degree) {
+    if (degree_[static_cast<std::size_t>(v)] == degree) return;
+    remove(v);
+    insert(v, degree);
+  }
+
+  /// Take v (queued) out.
+  void remove(int v) {
+    const int d = degree_[static_cast<std::size_t>(v)];
+    if (!in_buckets(d)) {
+      heap_.remove(v);
+      return;
+    }
+    std::uint64_t* set = bits_.data() + static_cast<std::size_t>(d) * stride_;
+    auto i = static_cast<std::size_t>(v);
+    for (const std::size_t off : level_) {
+      std::uint64_t& w = set[off + i / 64];
+      w &= ~(std::uint64_t{1} << (i % 64));
+      if (w != 0) return;
+      i /= 64;
+    }
+    buckets_ &= ~(std::uint32_t{1} << d);  // the top word emptied
+  }
+
+ private:
+  static constexpr int kBuckets = 32;
+  /// 64^6 > INT_MAX: enough bit-tree levels for any int-indexed graph.
+  static constexpr std::size_t kMaxLevels = 6;
+
+  static bool in_buckets(int degree) {
+    return degree >= 0 && degree < kBuckets;
+  }
+
+  void insert(int v, int degree) {
+    degree_[static_cast<std::size_t>(v)] = degree;
+    if (!in_buckets(degree)) {
+      heap_.push(degree, v);
+      return;
+    }
+    buckets_ |= std::uint32_t{1} << degree;
+    std::uint64_t* set =
+        bits_.data() + static_cast<std::size_t>(degree) * stride_;
+    auto i = static_cast<std::size_t>(v);
+    for (const std::size_t off : level_) {
+      std::uint64_t& w = set[off + i / 64];
+      const bool had = w != 0;
+      w |= std::uint64_t{1} << (i % 64);
+      if (had) return;
+      i /= 64;
+    }
+  }
+
+  /// Smallest member of bucket d (non-empty): down from the top word.
+  [[nodiscard]] int smallest(int d) const {
+    const std::uint64_t* set =
+        bits_.data() + static_cast<std::size_t>(d) * stride_;
+    std::size_t i = 0;
+    for (auto l = level_.size(); l-- > 0;) {
+      i = i * 64 + static_cast<std::size_t>(
+                       std::countr_zero(set[level_[l] + i]));
+    }
+    return static_cast<int>(i);
+  }
+
+  std::vector<int> degree_;         ///< queued degree per vertex
+  std::vector<std::size_t> level_;  ///< bit-tree level -> word offset
+  std::size_t stride_ = 0;          ///< words per bucket
+  std::vector<std::uint64_t> bits_;  ///< kBuckets bit trees
+  std::uint32_t buckets_ = 0;       ///< bit d: bucket d is non-empty
+  KeyHeap heap_;
+};
+
+/// Approximate minimum degree on a quotient graph (Amestoy, Davis & Duff,
+/// "An approximate minimum degree ordering algorithm", SIMAX 1996):
+/// eliminated pivots survive as *elements* (their neighbourhood clique
+/// represented implicitly), indistinguishable variables merge into
 /// *supervariables* (one elimination covers all members), and degrees are
 /// the external-degree approximation computed with the |Le \ Lp| counter
 /// trick -- each pivot costs work proportional to the size of the
 /// structures it touches instead of the clique it would materialise.
 ///
-/// Determinism: pivot selection is exact (degree, index) min via a
-/// lazy-deletion heap, supervariable candidates are scanned in sorted
+/// Layout: a handful of flat arrays sized once from the graph, no
+/// per-vertex container; a vertex's scalars share one record. Vertex i
+/// owns the slice [start, start + deg0(i)) of the graph's own adjacency
+/// array: its variable list from the front, its element list (ascending)
+/// against the back. The two never outgrow the slice, because every
+/// elimination that adds an element to i's list first removes the pivot
+/// or an absorbed element from it. Element member lists live in one pool,
+/// appended at creation and compacted in place when full. The live lists
+/// fit in the graph's size: a live element lists v only while it is in
+/// v's element list, or was when v was absorbed, so v appears in at most
+/// deg0(v) of them.
+///
+/// Determinism: pivot selection is the exact (degree, index) minimum
+/// (DegreeQueue), supervariable candidates are scanned in sorted
 /// (hash, index) order, and each supervariable emits its members in
-/// ascending index order. Input adjacency must be sorted/deduplicated
-/// (symmetrized_adjacency's output); it is consumed in place.
-std::vector<int> amd_order_graph(std::size_t n,
-                                 std::vector<std::vector<int>> vadj) {
+/// ascending index order. tests/amd_oracle.hpp keeps the per-vertex
+/// vector form this replaced; both emit the same permutation.
+std::vector<int> amd_order_graph(SymmetricGraph g) {
+  const std::size_t n = g.size();
   std::vector<int> order;
   order.reserve(n);
   if (n == 0) return order;
 
-  std::vector<long long> nv(n, 1);  ///< supervariable weight
-  std::vector<char> is_elem(n, 0);
-  std::vector<char> absorbed(n, 0);
-  std::vector<char> dead_elem(n, 0);
-  std::vector<std::vector<int>> eadj(n);   ///< live var -> adjacent elements
-  std::vector<std::vector<int>> elist(n);  ///< element -> member variables
-  std::vector<long long> esize(n, 0);      ///< element -> live member weight
-  std::vector<long long> degree(n, 0);     ///< external-degree approximation
-  std::vector<long long> wde(n, -1);       ///< |Le \ Lp| scratch per element
-  std::vector<char> mark(n, 0);
-  std::vector<int> merge_head(n, -1);      ///< absorbed-children chain...
-  std::vector<int> merge_next(n, -1);      ///< ...for supervariable emission
-  std::vector<std::uint64_t> hash(n, 0);
-
-  using Entry = std::pair<long long, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
+  enum : unsigned char { kVariable, kAbsorbed, kElement, kDeadElement };
+  struct Vertex {
+    int nv = 1;           ///< supervariable weight
+    int degree = 0;       ///< external-degree approximation
+    int nvar = 0;         ///< variable-list length
+    int nel = 0;          ///< element-list length
+    int esize = 0;        ///< element: live member weight
+    int wde = -1;         ///< element: |Le \ Lp| scratch
+    int epos = 0;         ///< element: offset of its members in the pool
+    int elen = 0;         ///< element: member count
+    int merge_head = -1;  ///< absorbed-children chain...
+    int merge_next = -1;  ///< ...for supervariable emission
+    unsigned char state = kVariable;
+    unsigned char mark = 0;
+  };
+  int* const iw = g.adj.data();
+  const int* const start = g.ptr.data();
+  std::vector<Vertex> vx(n);
   for (std::size_t v = 0; v < n; ++v) {
-    degree[v] = static_cast<long long>(vadj[v].size());
-    pq.push({degree[v], static_cast<int>(v)});
+    vx[v].degree = vx[v].nvar = start[v + 1] - start[v];
   }
+  DegreeQueue queue(n, start);
+  // Scratch written before it is read: no initialisation pass.
+  const std::size_t pool_size = g.adj.size() + n;
+  const auto pool = std::make_unique_for_overwrite<int[]>(pool_size);
+  const auto lp = std::make_unique_for_overwrite<int[]>(n);  ///< Lp
+  const auto touched = std::make_unique_for_overwrite<int[]>(n);
+  const auto hash = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+  std::vector<int> elems_made;  ///< elements in pool order
+  elems_made.reserve(n);
 
-  // Sorted-list equality modulo {skip_a, skip_b} and absorbed entries --
-  // the indistinguishability test (covers both adjacent supervariable
-  // pairs, where each list holds the other, and non-adjacent twins).
-  const auto filtered_equal = [&absorbed](const std::vector<int>& a,
-                                          const std::vector<int>& b,
-                                          int skip_a, int skip_b) {
-    std::size_t x = 0;
-    std::size_t y = 0;
-    while (true) {
-      while (x < a.size() &&
-             (a[x] == skip_a || a[x] == skip_b ||
-              absorbed[static_cast<std::size_t>(a[x])])) {
-        ++x;
-      }
-      while (y < b.size() &&
-             (b[y] == skip_a || b[y] == skip_b ||
-              absorbed[static_cast<std::size_t>(b[y])])) {
-        ++y;
-      }
-      if (x == a.size() || y == b.size()) {
-        return x == a.size() && y == b.size();
-      }
-      if (a[x] != b[y]) return false;
-      ++x;
-      ++y;
-    }
+  const auto at = [&vx](int v) -> Vertex& {
+    return vx[static_cast<std::size_t>(v)];
+  };
+  const auto vars_of = [&](int v) { return iw + start[v]; };
+  const auto elems_of = [&](int v) { return iw + start[v + 1] - at(v).nel; };
+  const auto dead_var = [&](int v) {
+    const Vertex& x = at(v);
+    return x.state != kVariable || x.mark;
   };
 
-  std::vector<int> lp;       ///< live neighbourhood of the pivot
-  std::vector<int> touched;  ///< elements whose wde is set this round
-  std::vector<int> emit;
+  // Set equality of two variable lists modulo {i, j} and absorbed
+  // entries -- the indistinguishability test (covers both adjacent
+  // supervariable pairs, where each list holds the other, and
+  // non-adjacent twins). Lists hold no repeats, and Lp's members have
+  // pruned every marked vertex from theirs, so mark 2 tags i's entries.
+  const auto same_vars = [&](int i, int j) {
+    const auto counts = [&](int v) {
+      return v != i && v != j && at(v).state != kAbsorbed;
+    };
+    const int* vi = vars_of(i);
+    const int* vj = vars_of(j);
+    int left = 0;
+    for (int k = 0; k < at(i).nvar; ++k) {
+      if (counts(vi[k])) {
+        at(vi[k]).mark = 2;
+        ++left;
+      }
+    }
+    bool same = true;
+    for (int k = 0; k < at(j).nvar && same; ++k) {
+      if (!counts(vj[k])) continue;
+      same = at(vj[k]).mark == 2;
+      --left;
+    }
+    for (int k = 0; k < at(i).nvar; ++k) {
+      if (counts(vi[k])) at(vi[k]).mark = 0;
+    }
+    return same && left == 0;
+  };
+
+  std::size_t pool_end = 0;
   long long remaining = static_cast<long long>(n);
 
   while (order.size() < n) {
-    // Lazy-deletion min-heap: entries are pushed on every degree change;
-    // one is valid iff its node is live and the degree still matches.
-    int p = -1;
-    while (!pq.empty()) {
-      const auto [d, v] = pq.top();
-      pq.pop();
-      const std::size_t sv = static_cast<std::size_t>(v);
-      if (!is_elem[sv] && !absorbed[sv] && d == degree[sv]) {
-        p = v;
-        break;
-      }
-    }
-    ICVBE_REQUIRE(p >= 0, "amd_order: no live pivot left");
-    const std::size_t sp = static_cast<std::size_t>(p);
+    ICVBE_REQUIRE(!queue.empty(), "amd_order: no live pivot left");
+    const int p = queue.pop();
+    Vertex& pv = at(p);
 
     // Lp: the pivot's live neighbourhood -- its variable neighbours plus
     // every live member of its adjacent elements. Each such element's
     // members all land in Lp, so the element is absorbed by the new one.
-    lp.clear();
-    mark[sp] = 1;
-    for (int v : vadj[sp]) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      if (absorbed[sv] || is_elem[sv] || mark[sv]) continue;
-      mark[sv] = 1;
-      lp.push_back(v);
+    int* const lp_begin = lp.get();
+    int* lp_end = lp_begin;
+    pv.mark = 1;
+    for (const int* v = vars_of(p); v != vars_of(p) + pv.nvar; ++v) {
+      if (dead_var(*v)) continue;
+      at(*v).mark = 1;
+      *lp_end++ = *v;
     }
-    for (int e : eadj[sp]) {
-      const std::size_t se = static_cast<std::size_t>(e);
-      if (dead_elem[se]) continue;
-      for (int v : elist[se]) {
-        const std::size_t sv = static_cast<std::size_t>(v);
-        if (absorbed[sv] || is_elem[sv] || mark[sv]) continue;
-        mark[sv] = 1;
-        lp.push_back(v);
+    for (const int* e = elems_of(p); e != elems_of(p) + pv.nel; ++e) {
+      Vertex& ev = at(*e);
+      if (ev.state == kDeadElement) continue;
+      const int* members = pool.get() + ev.epos;
+      for (int k = 0; k < ev.elen; ++k) {
+        if (dead_var(members[k])) continue;
+        at(members[k]).mark = 1;
+        *lp_end++ = members[k];
       }
-      dead_elem[se] = 1;  // Le is a subset of Lp + pivot: absorbed
-      elist[se].clear();
+      ev.state = kDeadElement;  // Le is a subset of Lp + pivot: absorbed
+      ev.elen = 0;
     }
-    long long lpw = 0;
-    for (int v : lp) lpw += nv[static_cast<std::size_t>(v)];
+    int lpw = 0;
+    for (const int* i = lp_begin; i != lp_end; ++i) lpw += at(*i).nv;
 
     // w[e] = |Le \ Lp| in weight for every element adjacent to Lp (the
     // counter trick: start at the element's live weight, subtract each Lp
     // member it contains).
-    touched.clear();
-    for (int i : lp) {
-      for (int e : eadj[static_cast<std::size_t>(i)]) {
-        const std::size_t se = static_cast<std::size_t>(e);
-        if (dead_elem[se]) continue;
-        if (wde[se] < 0) {
-          wde[se] = esize[se];
-          touched.push_back(e);
+    int ntouched = 0;
+    for (const int* i = lp_begin; i != lp_end; ++i) {
+      const int* es = elems_of(*i);
+      const int nvi = at(*i).nv;
+      for (int k = 0; k < at(*i).nel; ++k) {
+        Vertex& ev = at(es[k]);
+        if (ev.state == kDeadElement) continue;
+        if (ev.wde < 0) {
+          ev.wde = ev.esize;
+          touched[static_cast<std::size_t>(ntouched++)] = es[k];
         }
-        wde[se] -= nv[static_cast<std::size_t>(i)];
+        ev.wde -= nvi;
       }
     }
 
@@ -499,132 +759,176 @@ std::vector<int> amd_order_graph(std::size_t n,
     //   d(i) ~ |A_i \ Lp| + |Lp \ i| + sum_e |Le \ Lp|,
     // clamped by the exact bounds (remaining weight; old degree + new
     // element contribution).
-    for (int i : lp) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      auto& va = vadj[si];
-      std::size_t wv = 0;
+    for (const int* ip = lp_begin; ip != lp_end; ++ip) {
+      const int i = *ip;
+      Vertex& iv = at(i);
+      int* const va = vars_of(i);
+      int wv = 0;
       long long aw = 0;
-      for (int v : va) {
-        const std::size_t sv = static_cast<std::size_t>(v);
-        if (absorbed[sv] || is_elem[sv] || mark[sv]) continue;
-        va[wv++] = v;
-        aw += nv[sv];
+      for (int k = 0; k < iv.nvar; ++k) {
+        if (dead_var(va[k])) continue;
+        aw += at(va[k]).nv;
+        va[wv++] = va[k];
       }
-      va.resize(wv);
-      auto& ea = eadj[si];
-      std::size_t we = 0;
+      iv.nvar = wv;
+      // Elements are compacted towards the slice's end (order kept), then
+      // the new element p is inserted at its ascending position.
+      int* const end = iw + start[i + 1];
+      int we = 0;
       long long esum = 0;
-      for (int e : ea) {
-        const std::size_t se = static_cast<std::size_t>(e);
-        if (dead_elem[se]) continue;
-        if (wde[se] == 0) {
+      for (int k = iv.nel - 1; k >= 0; --k) {
+        const int e = end[k - iv.nel];
+        Vertex& ev = at(e);
+        if (ev.state == kDeadElement) continue;
+        if (ev.wde == 0) {
           // Everything the element covers is already in Lp: absorbed.
-          dead_elem[se] = 1;
-          elist[se].clear();
+          ev.state = kDeadElement;
+          ev.elen = 0;
           continue;
         }
-        ea[we++] = e;
-        esum += wde[se];
+        end[-1 - we++] = e;
+        esum += ev.wde;
       }
-      ea.resize(we);
-      ea.push_back(p);
-      std::sort(ea.begin(), ea.end());
-      long long d = aw + (lpw - nv[si]) + esum;
-      d = std::min(d, remaining - nv[sp] - nv[si]);
-      d = std::min(d, degree[si] + (lpw - nv[si]));
-      degree[si] = std::max<long long>(d, 0);
+      ICVBE_ASSERT(wv + we < start[i + 1] - start[i],
+                   "amd_order: vertex list outgrew its slice");
+      int* slot = end - we - 1;
+      while (slot + 1 != end && slot[1] < p) {
+        slot[0] = slot[1];
+        ++slot;
+      }
+      *slot = p;
+      iv.nel = we + 1;
+      long long d = aw + (lpw - iv.nv) + esum;
+      d = std::min(d, remaining - pv.nv - iv.nv);
+      d = std::min(d, static_cast<long long>(iv.degree) + (lpw - iv.nv));
+      iv.degree = static_cast<int>(std::max<long long>(d, 0));
     }
 
     // Supervariable detection among Lp's members: identical quotient-graph
     // adjacency (modulo each other) means the nodes are indistinguishable
     // and can be eliminated as one. Hash buckets keep the scan cheap; the
-    // comparison itself is exact, so a hash miss only costs a merge.
-    for (int i : lp) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      std::uint64_t h =
-          0x9e3779b97f4a7c15ull * (vadj[si].size() + 31 * eadj[si].size() + 1);
-      for (int v : vadj[si]) {
-        h += 0x100000001b3ull * static_cast<std::uint64_t>(v + 1);
-      }
-      for (int e : eadj[si]) {
-        h += 0x100000001b3ull * static_cast<std::uint64_t>(e + 1);
-      }
-      hash[si] = h;
-    }
-    std::sort(lp.begin(), lp.end(), [&hash](int a, int b) {
-      const std::uint64_t ha = hash[static_cast<std::size_t>(a)];
-      const std::uint64_t hb = hash[static_cast<std::size_t>(b)];
-      return ha != hb ? ha < hb : a < b;
-    });
-    for (std::size_t bi = 0; bi < lp.size();) {
-      std::size_t bj = bi + 1;
-      while (bj < lp.size() &&
-             hash[static_cast<std::size_t>(lp[bj])] ==
-                 hash[static_cast<std::size_t>(lp[bi])]) {
-        ++bj;
-      }
-      for (std::size_t x = bi; x < bj; ++x) {
-        const int i = lp[x];
-        const std::size_t si = static_cast<std::size_t>(i);
-        if (absorbed[si]) continue;
-        for (std::size_t y = x + 1; y < bj; ++y) {
-          const int j = lp[y];
-          const std::size_t sj = static_cast<std::size_t>(j);
-          if (absorbed[sj]) continue;
-          if (eadj[si].size() != eadj[sj].size() ||
-              !std::equal(eadj[si].begin(), eadj[si].end(),
-                          eadj[sj].begin()) ||
-              !filtered_equal(vadj[si], vadj[sj], i, j)) {
-            continue;
-          }
-          // Merge j into i: i's one elimination will cover both.
-          nv[si] += nv[sj];
-          degree[si] -= nv[sj];
-          absorbed[sj] = 1;
-          merge_next[j] = merge_head[i];
-          merge_head[i] = j;
-          vadj[sj].clear();
-          eadj[sj].clear();
+    // comparison itself is exact, so a hash miss only costs a merge. A
+    // lone member has no twin.
+    if (lp_end - lp_begin > 1) {
+      for (const int* ip = lp_begin; ip != lp_end; ++ip) {
+        const Vertex& iv = at(*ip);
+        std::uint64_t h = 0x9e3779b97f4a7c15ull *
+                          (static_cast<std::uint64_t>(iv.nvar) +
+                           31 * static_cast<std::uint64_t>(iv.nel) + 1);
+        const int* va = vars_of(*ip);
+        for (int k = 0; k < iv.nvar; ++k) {
+          h += 0x100000001b3ull * static_cast<std::uint64_t>(va[k] + 1);
         }
+        const int* ea = elems_of(*ip);
+        for (int k = 0; k < iv.nel; ++k) {
+          h += 0x100000001b3ull * static_cast<std::uint64_t>(ea[k] + 1);
+        }
+        hash[static_cast<std::size_t>(*ip)] = h;
       }
-      bi = bj;
+      const auto hash_of = [&hash](int v) {
+        return hash[static_cast<std::size_t>(v)];
+      };
+      std::sort(lp_begin, lp_end, [&hash_of](int a, int b) {
+        const std::uint64_t ha = hash_of(a);
+        const std::uint64_t hb = hash_of(b);
+        return ha != hb ? ha < hb : a < b;
+      });
+      for (const int* bi = lp_begin; bi != lp_end;) {
+        const int* bj = bi + 1;
+        while (bj != lp_end && hash_of(*bj) == hash_of(*bi)) ++bj;
+        for (const int* x = bi; x != bj; ++x) {
+          const int i = *x;
+          Vertex& iv = at(i);
+          if (iv.state == kAbsorbed) continue;
+          for (const int* y = x + 1; y != bj; ++y) {
+            const int j = *y;
+            Vertex& jv = at(j);
+            if (jv.state == kAbsorbed) continue;
+            if (iv.nel != jv.nel ||
+                !std::equal(elems_of(i), elems_of(i) + iv.nel, elems_of(j)) ||
+                !same_vars(i, j)) {
+              continue;
+            }
+            // Merge j into i: i's one elimination will cover both.
+            iv.nv += jv.nv;
+            iv.degree -= jv.nv;
+            jv.state = kAbsorbed;
+            jv.merge_next = iv.merge_head;
+            iv.merge_head = j;
+            jv.nvar = 0;
+            jv.nel = 0;
+          }
+        }
+        bi = bj;
+      }
     }
 
-    // Re-queue the surviving members at their new degrees.
-    for (int i : lp) {
-      const std::size_t si = static_cast<std::size_t>(i);
-      if (absorbed[si]) continue;
-      pq.push({degree[si], i});
+    // Re-key the surviving members at their new degrees; drop the merged.
+    int survivors = 0;
+    for (const int* ip = lp_begin; ip != lp_end; ++ip) {
+      const Vertex& iv = at(*ip);
+      if (iv.state == kAbsorbed) {
+        queue.remove(*ip);
+      } else {
+        queue.update(*ip, iv.degree);
+        ++survivors;
+      }
     }
 
     // The pivot becomes an element whose members are Lp's survivors (the
-    // merges conserved the weight).
-    is_elem[sp] = 1;
-    elist[sp].clear();
-    for (int v : lp) {
-      if (!absorbed[static_cast<std::size_t>(v)]) elist[sp].push_back(v);
+    // merges conserved the weight), appended to the pool -- compacted
+    // first if it is full.
+    if (pool_end + static_cast<std::size_t>(survivors) > pool_size) {
+      std::size_t kept = 0;
+      pool_end = 0;
+      for (int e : elems_made) {
+        Vertex& ev = at(e);
+        if (ev.state == kDeadElement) continue;
+        for (int k = 0; k < ev.elen; ++k) {
+          pool[pool_end + static_cast<std::size_t>(k)] =
+              pool[static_cast<std::size_t>(ev.epos + k)];
+        }
+        ev.epos = static_cast<int>(pool_end);
+        pool_end += static_cast<std::size_t>(ev.elen);
+        elems_made[kept++] = e;
+      }
+      elems_made.resize(kept);
+      ICVBE_ASSERT(pool_end + static_cast<std::size_t>(survivors) <= pool_size,
+                   "amd_order: element pool overflow");
     }
-    esize[sp] = lpw;
-    vadj[sp].clear();
-    eadj[sp].clear();
+    pv.state = kElement;
+    pv.epos = static_cast<int>(pool_end);
+    for (const int* ip = lp_begin; ip != lp_end; ++ip) {
+      if (at(*ip).state != kAbsorbed) pool[pool_end++] = *ip;
+    }
+    pv.elen = survivors;
+    elems_made.push_back(p);
+    pv.esize = lpw;
+    pv.nvar = 0;
+    pv.nel = 0;
 
     // Reset the round's scratch.
-    mark[sp] = 0;
-    for (int v : lp) mark[static_cast<std::size_t>(v)] = 0;
-    for (int e : touched) wde[static_cast<std::size_t>(e)] = -1;
+    pv.mark = 0;
+    for (const int* ip = lp_begin; ip != lp_end; ++ip) at(*ip).mark = 0;
+    for (int k = 0; k < ntouched; ++k) {
+      at(touched[static_cast<std::size_t>(k)]).wde = -1;
+    }
 
     // Emit the pivot supervariable: p plus everything ever merged into it
     // (transitively), in ascending index order.
-    emit.clear();
-    emit.push_back(p);
-    for (std::size_t head = 0; head < emit.size(); ++head) {
-      for (int c = merge_head[emit[head]]; c >= 0; c = merge_next[c]) {
-        emit.push_back(c);
+    const std::size_t first = order.size();
+    order.push_back(p);
+    for (std::size_t head = first; head < order.size(); ++head) {
+      for (int c = at(order[head]).merge_head; c >= 0;
+           c = at(c).merge_next) {
+        order.push_back(c);
       }
     }
-    std::sort(emit.begin(), emit.end());
-    order.insert(order.end(), emit.begin(), emit.end());
-    remaining -= nv[sp];
+    if (order.size() - first > 1) {
+      std::sort(order.begin() + static_cast<std::ptrdiff_t>(first),
+                order.end());
+    }
+    remaining -= pv.nv;
   }
   return order;
 }
@@ -634,22 +938,12 @@ std::vector<int> amd_order_graph(std::size_t n,
 std::vector<int> minimum_degree_order(const std::vector<int>& row_ptr,
                                       const std::vector<int>& col_index,
                                       std::size_t n) {
-  std::vector<std::set<int>> adj(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-      const int c = col_index[static_cast<std::size_t>(i)];
-      if (static_cast<std::size_t>(c) != r) {
-        adj[r].insert(c);
-        adj[static_cast<std::size_t>(c)].insert(static_cast<int>(r));
-      }
-    }
-  }
-  return md_order_core(n, std::move(adj));
+  return md_order_graph(symmetrize(row_ptr, col_index, n));
 }
 
 std::vector<int> amd_order(const std::vector<int>& row_ptr,
                            const std::vector<int>& col_index, std::size_t n) {
-  return amd_order_graph(n, symmetrized_adjacency(row_ptr, col_index, n));
+  return amd_order_graph(symmetrize(row_ptr, col_index, n));
 }
 
 BtfDecomposition btf_decompose(const std::vector<int>& row_ptr,
@@ -853,7 +1147,6 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
     rperm_.clear();
     rperm_.reserve(n);
     std::vector<int> local_of_col(n, -1);
-    std::vector<std::vector<int>> adj;
     std::vector<int> block_rows;
     for (std::size_t b = 0; b < btf.block_count(); ++b) {
       const int lo = btf.block_ptr[b];
@@ -872,26 +1165,14 @@ void SparseLuFactorizationT<Scalar>::analyze(const SparseMatrixT<Scalar>& a,
       }
       // Local symmetrised graph: row k of the block is identified with
       // its matched column (the vertex the elimination merges them into).
-      adj.assign(m, {});
-      for (std::size_t k = 0; k < m; ++k) {
-        const std::size_t r = static_cast<std::size_t>(block_rows[k]);
-        for (int i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
-          const int lc =
-              local_of_col[static_cast<std::size_t>(col_index[i])];
-          if (lc >= 0 && lc != static_cast<int>(k)) {
-            adj[k].push_back(lc);
-            adj[static_cast<std::size_t>(lc)].push_back(static_cast<int>(k));
-          }
-        }
-      }
-      for (auto& al : adj) {
-        std::sort(al.begin(), al.end());
-        al.erase(std::unique(al.begin(), al.end()), al.end());
-      }
+      SymmetricGraph g = symmetrize(
+          row_ptr, col_index, m,
+          [&](std::size_t k) { return block_rows[k]; },
+          [&](int c) { return local_of_col[static_cast<std::size_t>(c)]; });
       const std::vector<int> local =
           options_.ordering == SparseOrdering::kAmd
-              ? amd_order_graph(m, std::move(adj))
-              : md_order_graph(m, adj);
+              ? amd_order_graph(std::move(g))
+              : md_order_graph(g);
       for (int v : local) {
         rperm_.push_back(block_rows[static_cast<std::size_t>(v)]);
       }

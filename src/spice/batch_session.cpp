@@ -6,6 +6,7 @@
 #include "icvbe/common/error.hpp"
 #include "icvbe/spice/junction.hpp"
 #include "icvbe/spice/stamper.hpp"
+#include "newton_update.hpp"
 
 namespace icvbe::spice {
 
@@ -19,6 +20,10 @@ BatchDcSession::BatchDcSession(std::vector<Circuit*> lanes,
   node_unknowns_ = lanes_[0]->node_count() - 1;
   ICVBE_REQUIRE(n_unknowns_ > 0, "BatchDcSession: circuit has no unknowns");
   bound_device_count_ = lanes_[0]->devices().size();
+  const auto& devices = lanes_[0]->devices();
+  linear_ = std::none_of(devices.begin(), devices.end(), [](const auto& dev) {
+    return dev->is_nonlinear();
+  });
   for (std::size_t l = 1; l < k; ++l) {
     ICVBE_REQUIRE(lanes_[l]->assign_unknowns() == n_unknowns_ &&
                       lanes_[l]->node_count() - 1 == node_unknowns_ &&
@@ -206,43 +211,19 @@ void BatchDcSession::solve_active() {
     }
     slu_.solve_batch(rhs_);
 
-    // Per-lane damping + update + convergence test: bit-for-bit
-    // SimSession::newton_attempt's epilogue, reading this lane's plane.
+    // Per-lane update + convergence test: SimSession::newton_attempt's
+    // own epilogue, reading this lane's plane in place.
     for (std::size_t l = 0; l < k; ++l) {
       if (!live_[l]) continue;
-      Unknowns& x = x_[l];
-      double max_node_dx = 0.0;
-      for (int i = 0; i < node_unknowns; ++i) {
-        max_node_dx = std::max(
-            max_node_dx,
-            std::abs(rhs_[static_cast<std::size_t>(i) * k + l] -
-                     x.raw()[static_cast<std::size_t>(i)]));
-      }
-      double scale = 1.0;
-      if (max_node_dx > opt.max_step_volts) {
-        scale = opt.max_step_volts / max_node_dx;
-      }
-
-      bool converged = (iter > 0);  // require at least two iterations
-      for (int i = 0; i < n_unknowns; ++i) {
-        const double xi = x.raw()[static_cast<std::size_t>(i)];
-        const double xn =
-            xi + scale * (rhs_[static_cast<std::size_t>(i) * k + l] - xi);
-        const double dx = std::abs(xn - xi);
-        const double abstol =
-            (i < node_unknowns) ? opt.v_abstol : opt.i_abstol;
-        const double tol =
-            abstol + opt.reltol * std::max(std::abs(xi), std::abs(xn));
-        if (dx > tol) converged = false;
-        x.raw()[static_cast<std::size_t>(i)] = xn;
-      }
-      if (!std::isfinite(linalg::norm_inf(x.raw()))) {
+      const NewtonStep step = newton_update(opt, node_unknowns, linear_, iter,
+                                            rhs_.data() + l, k, x_[l]);
+      if (step == NewtonStep::kDiverged) {
         status_[l].needs_solo = true;
         live_[l] = 0;
         --live_count;
-      } else if (converged && scale == 1.0) {
+      } else if (step == NewtonStep::kConverged) {
         status_[l].converged = true;
-        last_solution_[l] = x;  // same-size copy
+        last_solution_[l] = x_[l];  // same-size copy
         have_last_[l] = 1;
         live_[l] = 0;
         --live_count;

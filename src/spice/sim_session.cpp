@@ -5,6 +5,7 @@
 
 #include "icvbe/common/error.hpp"
 #include "icvbe/spice/stamper.hpp"
+#include "newton_update.hpp"
 
 namespace icvbe::spice {
 
@@ -18,6 +19,8 @@ void SimSession::rebind() {
   node_unknowns_ = circuit_->node_count() - 1;
   ICVBE_REQUIRE(n_unknowns_ > 0, "SimSession: circuit has no unknowns");
   bound_device_count_ = circuit_->devices().size();
+  linear_ = std::none_of(circuit_->devices().begin(), circuit_->devices().end(),
+                         [](const auto& dev) { return dev->is_nonlinear(); });
 
   const auto n = static_cast<std::size_t>(n_unknowns_);
   b_.assign(n, 0.0);
@@ -102,11 +105,7 @@ void SimSession::prime_analysis() {
 }
 
 bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
-  const int n_unknowns = n_unknowns_;
-  const int node_unknowns = node_unknowns_;
-  const NewtonOptions& opt = options_;
-
-  for (int iter = 0; iter < opt.max_iterations; ++iter) {
+  for (int iter = 0; iter < options_.max_iterations; ++iter) {
     ++iterations;
     stamp_dc(x, gmin);
     try {
@@ -116,35 +115,15 @@ bool SimSession::newton_attempt(double gmin, Unknowns& x, int& iterations) {
     }
     x_new_ = b_;  // same-size copy into the preallocated solve buffer
     slu_.solve_in_place(x_new_);
-
-    // Global damping: scale the step so no node voltage moves more than
-    // max_step_volts in one iteration (junction limiting inside the
-    // devices already handles the exponentials).
-    double max_node_dx = 0.0;
-    for (int i = 0; i < node_unknowns; ++i) {
-      max_node_dx = std::max(max_node_dx,
-                             std::abs(x_new_[static_cast<std::size_t>(i)] -
-                                      x.raw()[static_cast<std::size_t>(i)]));
+    switch (newton_update(options_, node_unknowns_, linear_, iter,
+                          x_new_.data(), 1, x)) {
+      case NewtonStep::kConverged:
+        return true;
+      case NewtonStep::kDiverged:
+        return false;
+      case NewtonStep::kContinue:
+        break;
     }
-    double scale = 1.0;
-    if (max_node_dx > opt.max_step_volts) {
-      scale = opt.max_step_volts / max_node_dx;
-    }
-
-    bool converged = (iter > 0);  // require at least two iterations
-    for (int i = 0; i < n_unknowns; ++i) {
-      const double xi = x.raw()[static_cast<std::size_t>(i)];
-      const double xn =
-          xi + scale * (x_new_[static_cast<std::size_t>(i)] - xi);
-      const double dx = std::abs(xn - xi);
-      const double abstol = (i < node_unknowns) ? opt.v_abstol : opt.i_abstol;
-      const double tol =
-          abstol + opt.reltol * std::max(std::abs(xi), std::abs(xn));
-      if (dx > tol) converged = false;
-      x.raw()[static_cast<std::size_t>(i)] = xn;
-    }
-    if (!std::isfinite(linalg::norm_inf(x.raw()))) return false;
-    if (converged && scale == 1.0) return true;
   }
   return false;
 }

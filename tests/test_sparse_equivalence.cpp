@@ -12,9 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "icvbe/spice/batch_session.hpp"
 #include "icvbe/spice/netlist.hpp"
 #include "icvbe/spice/netlist_gen.hpp"
 #include "icvbe/spice/plan.hpp"
@@ -141,18 +145,62 @@ TEST(SparseEquivalence, DeckPlanColumnsMatchDense) {
   }
 }
 
-/// Every result bit-equal to the first.
+/// Every result bit-equal to the first (memcmp: -0.0 and NaN payloads
+/// count too).
 void expect_bit_identical(const std::vector<SweepResult>& results) {
   for (std::size_t v = 1; v < results.size(); ++v) {
     ASSERT_EQ(results[0].rows(), results[v].rows());
     for (std::size_t p = 0; p < results[0].probe_count(); ++p) {
       for (std::size_t r = 0; r < results[0].rows(); ++r) {
-        EXPECT_EQ(results[0].value(p, r), results[v].value(p, r))
-            << "variant " << v << " probe " << p << " row " << r;
+        const double a = results[0].value(p, r);
+        const double b = results[v].value(p, r);
+        EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+            << "variant " << v << " probe " << p << " row " << r << ": "
+            << a << " vs " << b;
       }
     }
   }
 }
+
+std::string read_example_deck(const std::string& name) {
+  std::ifstream in(std::string(ICVBE_SOURCE_DIR) + "/examples/decks/" + name);
+  EXPECT_TRUE(in.good()) << name;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// A .STEP + .DC deck run at threads {1, 3} x lanes {1, 4}, the netlist's
+/// .NODESET as the warm seed: every variant's columns.
+std::vector<SweepResult> run_stepped_deck(const std::string& text) {
+  std::vector<SweepResult> results;
+  for (unsigned threads : {1u, 3u}) {
+    for (unsigned lanes : {1u, 4u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " lanes=" << lanes);
+      auto deck = parse_netlist(text);
+      EXPECT_TRUE(deck.plan.has_value());
+      if (!deck.plan.has_value()) return results;
+      EXPECT_EQ(deck.plan->axes.size(), 2u);
+      Circuit& circuit = *deck.circuit;
+      circuit.set_temperature(300.15);
+      Unknowns guess(static_cast<std::size_t>(circuit.assign_unknowns()));
+      for (const auto& [node, value] : deck.nodesets) {
+        guess.raw()[static_cast<std::size_t>(circuit.node(node) - 1)] = value;
+      }
+      AnalysisPlan plan = *deck.plan;
+      plan.threads = threads;
+      plan.lanes = lanes;
+      SimSession session(circuit);
+      session.seed_warm_start(guess);
+      results.push_back(session.run(plan));
+    }
+  }
+  return results;
+}
+
+/// Newton iterations of the Banba deck below from its .NODESET at 27 C.
+constexpr int kBanbaSeededIterations = 6;
 
 TEST(SparseEquivalence, TwoAxisPlanBitIdenticalAcrossThreadCounts) {
   // The plan contract (test_plan) on the sparse path: outer rows fanned
@@ -201,29 +249,55 @@ U1 gate n2 n1 GAIN=1e6
 .DC VDD 0.9 1.5 0.3
 .PROBE V(vref) I(VDD)
 )";
-  std::vector<SweepResult> stepped;
-  for (unsigned threads : {1u, 3u}) {
-    for (unsigned lanes : {1u, 4u}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads << " lanes=" << lanes);
-      auto deck = parse_netlist(text);
-      ASSERT_TRUE(deck.plan.has_value());
-      ASSERT_EQ(deck.plan->axes.size(), 2u);
-      Circuit& circuit = *deck.circuit;
-      circuit.set_temperature(300.15);
-      Unknowns guess(static_cast<std::size_t>(circuit.assign_unknowns()));
-      for (const auto& [node, value] : deck.nodesets) {
-        guess.raw()[static_cast<std::size_t>(circuit.node(node) - 1)] = value;
-      }
-      AnalysisPlan stepped_plan = *deck.plan;
-      stepped_plan.threads = threads;
-      stepped_plan.lanes = lanes;
-      SimSession session(circuit);
-      session.seed_warm_start(guess);
-      stepped.push_back(session.run(stepped_plan));
+  expect_bit_identical(run_stepped_deck(text));
+
+  // A linear .STEP + .DC deck: every point is one undamped solve, on the
+  // scalar and on the lane-batched path alike.
+  const std::vector<SweepResult> divider =
+      run_stepped_deck(read_example_deck("divider_sweep.cir"));
+  ASSERT_EQ(divider.size(), 4u);
+  EXPECT_EQ(divider[0].rows(), 33u);
+  expect_bit_identical(divider);
+
+  // Iteration counts behind those columns: one per linear point, whether
+  // a session or a batch lane takes it; the Banba point keeps the damped
+  // Newton count it had before linear circuits took the short path.
+  {
+    auto deck = parse_netlist(read_example_deck("divider_sweep.cir"));
+    SimSession session(*deck.circuit);
+    EXPECT_EQ(session.solve().iterations, 1);
+    auto& v1 = deck.circuit->get<VoltageSource>("V1");
+    v1.set_voltage(2.5);
+    EXPECT_EQ(session.solve().iterations, 1);
+
+    std::vector<ParsedNetlist> lanes;
+    std::vector<Circuit*> circuits;
+    for (int l = 0; l < 4; ++l) {
+      lanes.push_back(parse_netlist(read_example_deck("divider_sweep.cir")));
+      lanes.back().circuit->get<VoltageSource>("V1").set_voltage(0.5 * l);
+    }
+    for (auto& lane : lanes) circuits.push_back(lane.circuit.get());
+    BatchDcSession batch(circuits);
+    batch.solve_active();
+    for (std::size_t l = 0; l < batch.lanes(); ++l) {
+      EXPECT_TRUE(batch.status(l).converged) << "lane " << l;
+      EXPECT_EQ(batch.status(l).iterations, 1) << "lane " << l;
     }
   }
-  expect_bit_identical(stepped);
+  {
+    auto deck = parse_netlist(text);
+    Circuit& circuit = *deck.circuit;
+    circuit.set_temperature(300.15);
+    Unknowns guess(static_cast<std::size_t>(circuit.assign_unknowns()));
+    for (const auto& [node, value] : deck.nodesets) {
+      guess.raw()[static_cast<std::size_t>(circuit.node(node) - 1)] = value;
+    }
+    SimSession session(circuit);
+    session.seed_warm_start(guess);
+    const DcResult& r = session.solve();
+    EXPECT_TRUE(r.converged);
+    EXPECT_EQ(r.iterations, kBanbaSeededIterations);
+  }
 }
 
 TEST(SparseEquivalence, OrderingSweepMatchesDenseAndLegacy) {

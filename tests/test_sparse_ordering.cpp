@@ -5,7 +5,8 @@
 // Families: resistor-ladder shapes, 2-D meshes, random MNA shapes with
 // zero-diagonal aux rows (voltage-source style), singular and
 // near-singular value sets. Properties:
-//  * amd_order() returns a valid permutation on every pattern;
+//  * amd_order() returns a valid permutation on every pattern, the very
+//    permutation of the vector-based oracle (amd_oracle.hpp);
 //  * AMD fill stays within a slack factor of the legacy ordering's fill;
 //  * refactor/solve under the new default path matches the legacy path
 //    and the dense LU to <= 1e-10 (residual-checked when near-singular);
@@ -29,7 +30,11 @@
 #include "icvbe/linalg/matrix.hpp"
 #include "icvbe/linalg/solve.hpp"
 #include "icvbe/linalg/sparse.hpp"
+#include "icvbe/spice/netlist.hpp"
+#include "icvbe/spice/netlist_gen.hpp"
+#include "icvbe/spice/stamper.hpp"
 #include "icvbe/testing/alloc_hook.hpp"
+#include "amd_oracle.hpp"
 
 namespace icvbe::linalg {
 namespace {
@@ -291,6 +296,9 @@ void check_system(const TestSystem& sys, std::mt19937_64& rng,
     ASSERT_FALSE(seen[static_cast<std::size_t>(v)]) << "duplicate row in AMD";
     seen[static_cast<std::size_t>(v)] = 1;
   }
+  EXPECT_EQ(order,
+            oracle::amd_order(sys.sparse.row_ptr(), sys.sparse.col_index(), n))
+      << "flat AMD left the oracle's permutation";
 
   SparseLuFactorization legacy;
   legacy.set_options(SparseOptions::legacy());
@@ -401,6 +409,97 @@ TEST(SparseOrderingHarness, TwoHundredSeededPatterns) {
     }
   }
   EXPECT_EQ(case_id, 200);
+}
+
+/// The MNA pattern a session discovers for a generated deck: every device
+/// stamped once at the zero iterate, plus the gmin diagonal.
+SparseMatrix generated_pattern(spice::SyntheticTopology topology, int nodes) {
+  spice::SyntheticNetlistSpec spec;
+  spec.topology = topology;
+  spec.nodes = nodes;
+  spec.with_analysis = false;
+  const spice::ParsedNetlist deck =
+      spice::parse_netlist(spice::generate_netlist(spec));
+  spice::Circuit& c = *deck.circuit;
+  const auto n = static_cast<std::size_t>(c.assign_unknowns());
+  SparseMatrix a(n, n);
+  Vector b(n, 0.0);
+  const spice::Unknowns x(n);
+  spice::Stamper st(a, b, c.node_count() - 1);
+  for (const auto& dev : c.devices()) dev->stamp(st, x);
+  for (int i = 0; i + 1 < c.node_count(); ++i) st.add_entry(i, i, 0.0);
+  a.freeze_pattern();
+  return a;
+}
+
+/// Rows of one BTF block as a standalone CSR pattern, columns renumbered
+/// to the block's matched rows: the graph analyze() orders per block.
+SparseMatrix block_pattern(const SparseMatrix& a, const BtfDecomposition& btf,
+                           std::size_t block) {
+  const int lo = btf.block_ptr[block];
+  const auto m = static_cast<std::size_t>(btf.block_ptr[block + 1] - lo);
+  std::vector<int> local(a.rows(), -1);
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto r = static_cast<std::size_t>(btf.row_order[lo + k]);
+    local[static_cast<std::size_t>(btf.match_col[r])] = static_cast<int>(k);
+  }
+  SparseMatrix out(m, m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto r = static_cast<std::size_t>(btf.row_order[lo + k]);
+    for (int i = a.row_ptr()[r]; i < a.row_ptr()[r + 1]; ++i) {
+      const int lc = local[static_cast<std::size_t>(a.col_index()[i])];
+      if (lc >= 0) out.add(k, static_cast<std::size_t>(lc), 1.0);
+    }
+  }
+  out.freeze_pattern();
+  return out;
+}
+
+void expect_oracle_order(const SparseMatrix& a) {
+  EXPECT_EQ(amd_order(a.row_ptr(), a.col_index(), a.rows()),
+            oracle::amd_order(a.row_ptr(), a.col_index(), a.rows()));
+  const BtfDecomposition btf =
+      btf_decompose(a.row_ptr(), a.col_index(), a.rows());
+  for (std::size_t blk = 0; blk < btf.block_count(); ++blk) {
+    const SparseMatrix local = block_pattern(a, btf, blk);
+    EXPECT_EQ(amd_order(local.row_ptr(), local.col_index(), local.rows()),
+              oracle::amd_order(local.row_ptr(), local.col_index(),
+                                local.rows()))
+        << "BTF block " << blk;
+  }
+}
+
+TEST(SparseOrderingHarness, FlatAmdMatchesOracleOnGeneratedTopologies) {
+  using spice::SyntheticTopology;
+  for (const SyntheticTopology t :
+       {SyntheticTopology::kResistorLadder, SyntheticTopology::kDiodeLadder,
+        SyntheticTopology::kMesh, SyntheticTopology::kGrid,
+        SyntheticTopology::kClockTree}) {
+    for (const int nodes : {100, 1000, 10000}) {
+      SCOPED_TRACE(std::string(spice::topology_name(t)) + " at " +
+                   std::to_string(nodes) + " nodes");
+      expect_oracle_order(generated_pattern(t, nodes));
+    }
+  }
+}
+
+TEST(SparseOrderingHarness, FlatAmdAllocationsDoNotGrowWithSize) {
+  // The ordering's workspace is a fixed set of arrays sized from the
+  // graph: the operator-new count of one call is the same at 1e3 and 1e4
+  // nodes.
+  const auto allocations = [](int nodes) {
+    const SparseMatrix a =
+        generated_pattern(spice::SyntheticTopology::kGrid, nodes);
+    const std::uint64_t before = testing::allocation_count();
+    const std::vector<int> order =
+        amd_order(a.row_ptr(), a.col_index(), a.rows());
+    EXPECT_EQ(order.size(), a.rows());
+    return testing::allocation_count() - before;
+  };
+  const std::uint64_t small = allocations(1000);
+  const std::uint64_t large = allocations(10000);
+  EXPECT_EQ(large, small);
+  EXPECT_LT(large, 40u);
 }
 
 TEST(SparseOrderingHarness, BatchLanesBitIdenticalUnderNewPath) {
@@ -699,6 +798,10 @@ TEST(SparseOrderingHarness, StressSubsetAt1e4Nodes) {
   // Analysis reuse at scale.
   f.refactor(m);
   EXPECT_EQ(f.analysis_count(), 1);
+
+  // The flat AMD emits the oracle's permutation on the 1e5 clock tree.
+  expect_oracle_order(
+      generated_pattern(spice::SyntheticTopology::kClockTree, 100000));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "icvbe/common/constants.hpp"
 #include "icvbe/common/error.hpp"
@@ -11,6 +13,7 @@
 #include "icvbe/spice/circuit.hpp"
 #include "icvbe/spice/dc_solver.hpp"
 #include "icvbe/spice/junction.hpp"
+#include "icvbe/spice/stamper.hpp"
 
 namespace icvbe::spice {
 namespace {
@@ -365,6 +368,95 @@ TEST(DcSolver, StrategyReportedOnEasyCircuit) {
   const DcResult r = solve_dc(c);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.strategy, "newton");
+}
+
+// The is_nonlinear() contract a linear-circuit session relies on: a device
+// that answers false stamps the same matrix and RHS whatever the iterate,
+// so one solve of its system is the operating point (see
+// newton_update.hpp). One circuit holds every device kind; each device is
+// stamped alone at two different iterates and the two stamps compared
+// bit for bit.
+TEST(DeviceContract, LinearDevicesStampTheSameSystemAtEveryIterate) {
+  Circuit c;
+  const NodeId a = c.node("a");
+  const NodeId b = c.node("b");
+  const NodeId o = c.node("o");
+  c.add_resistor("R1", a, b, 1.0e3, 1e-3, 1e-6);
+  c.add_vsource("V1", a, kGround, 1.2);
+  c.add_isource("I1", b, kGround, 1e-4);
+  c.add_vcvs("E1", o, kGround, a, b, 3.0);
+  c.add_opamp("X1", o, a, b, 1.0e5, 1e-3);
+  auto& cap = c.add_capacitor("C1", a, b, 1e-9);
+  auto& ind = c.add_inductor("L1", b, o, 1e-6);
+  c.add_diode("D1", a, b, DiodeModel{});
+  c.add_bjt("Q1", o, a, b, BjtModel{});
+  c.add_mosfet("M1", o, a, b, MosfetModel{});
+  c.set_temperature(to_kelvin(27.0));
+  const auto n = static_cast<std::size_t>(c.assign_unknowns());
+  const int nodes = c.node_count() - 1;
+
+  Unknowns x1(n);
+  Unknowns x2(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x1.raw()[i] = 0.1 * static_cast<double>(i);
+    x2.raw()[i] = 0.7 - 0.2 * static_cast<double>(i);
+  }
+
+  struct Stamp {
+    std::vector<int> row_ptr;
+    std::vector<int> col_index;
+    std::vector<double> values;
+    std::vector<double> rhs;
+  };
+  const auto stamp_alone = [&](Device& dev, const Unknowns& x) {
+    linalg::SparseMatrix m(n, n);
+    linalg::Vector rhs(n, 0.0);
+    Stamper st(m, rhs, nodes);
+    dev.stamp(st, x);
+    m.freeze_pattern();
+    return Stamp{m.row_ptr(), m.col_index(), m.values(), rhs};
+  };
+  const auto bitwise_equal = [](const std::vector<double>& p,
+                                const std::vector<double>& q) {
+    return p.size() == q.size() &&
+           std::memcmp(p.data(), q.data(), p.size() * sizeof(double)) == 0;
+  };
+  const auto same_stamp = [&](Device& dev) {
+    dev.reset_state();
+    const Stamp s1 = stamp_alone(dev, x1);
+    dev.reset_state();
+    const Stamp s2 = stamp_alone(dev, x2);
+    return s1.row_ptr == s2.row_ptr && s1.col_index == s2.col_index &&
+           bitwise_equal(s1.values, s2.values) && bitwise_equal(s1.rhs, s2.rhs);
+  };
+
+  const auto check_all = [&](const char* mode) {
+    for (const auto& dev : c.devices()) {
+      SCOPED_TRACE(dev->name() + " in " + mode + " mode");
+      if (!dev->is_nonlinear()) {
+        EXPECT_TRUE(same_stamp(*dev))
+            << "answers is_nonlinear() == false, yet its stamp moved";
+      }
+    }
+  };
+  check_all("DC");
+  for (const char* name : {"D1", "Q1", "M1"}) {
+    Device* dev = c.find(name);
+    ASSERT_NE(dev, nullptr);
+    EXPECT_TRUE(dev->is_nonlinear()) << name;
+    // The two iterates are far enough apart to move a junction's stamp.
+    EXPECT_FALSE(same_stamp(*dev)) << name;
+  }
+
+  // Transient companions depend on committed state and the step, never on
+  // the iterate.
+  cap.init_state(x1);
+  ind.init_state(x1);
+  cap.begin_step(IntegrationMethod::kTrapezoidal, 1e-7);
+  ind.begin_step(IntegrationMethod::kBackwardEuler, 1e-7);
+  check_all("transient");
+  cap.set_dc_mode();
+  ind.set_dc_mode();
 }
 
 }  // namespace
